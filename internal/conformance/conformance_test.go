@@ -30,8 +30,8 @@ func pointBudget() int {
 }
 
 // TestConformance is the differential harness: every generated point runs
-// through all the evaluation routes (cold, compiled, re-bound, batched,
-// delta, notation + HTTP service) and through the slice-enumeration
+// through all the evaluation routes (cold, compiled, re-bound, delta,
+// notation, HTTP service, YAML config) and through the slice-enumeration
 // oracle. Any divergence is minimized and written out as a textual
 // reproducer.
 func TestConformance(t *testing.T) {

@@ -47,15 +47,13 @@ func resultBytes(res *core.Result, spec *arch.Spec) []byte {
 //  2. core.Compile + Program.Evaluate,
 //  3. Program.WithTiling re-binding (Alt-compiled program evaluating Root,
 //     and Root-compiled program evaluating Alt against a cold Alt run),
-//  4. Program.EvaluateBatch over [Root, Alt, Root] (the repeat proves the
-//     shared scratch arena carries no state between items),
-//  5. Program.EvaluateDelta chained Root → Alt → Root through one
+//  4. Program.EvaluateDelta chained Root → Alt → Root through one
 //     DeltaState (incremental re-evaluation in both directions),
-//  6. notation round-trip: Parse(Print(Root)) evaluated locally,
-//  7. the HTTP service: POST /v1/evaluate with arch_spec + workload_spec +
+//  5. notation round-trip: Parse(Print(Root)) evaluated locally,
+//  6. the HTTP service: POST /v1/evaluate with arch_spec + workload_spec +
 //     notation, for both Root and Alt (the second request exercises the
 //     server-side program cache re-bind), byte-comparing served results,
-//  8. YAML config round-trip: yamlfe.Render(spec, graph, Root) loaded back
+//  7. YAML config round-trip: yamlfe.Render(spec, graph, Root) loaded back
 //     and evaluated locally, then POST /v1/evaluate with config_yaml —
 //     the Timeloop-style frontend must name the same design point.
 //
@@ -114,17 +112,6 @@ func RunPoint(p *Point, baseURL string, client *http.Client) error {
 	}
 	if b := resultBytes(res3b, p.Spec); !bytes.Equal(b, altBytes) {
 		return fail("rebind-alt", diffBytes(altBytes, b))
-	}
-
-	batchRes, batchErrs := prog.EvaluateBatch(context.Background(), []*core.Node{p.Root, p.Alt, p.Root}, p.Opts)
-	wantBatch := [][]byte{refBytes, altBytes, refBytes}
-	for i, berr := range batchErrs {
-		if berr != nil {
-			return fail("batch", fmt.Errorf("item %d: %w", i, berr))
-		}
-		if b := resultBytes(batchRes[i], p.Spec); !bytes.Equal(b, wantBatch[i]) {
-			return fail("batch", fmt.Errorf("item %d: %w", i, diffBytes(wantBatch[i], b)))
-		}
 	}
 
 	ds := prog.NewDelta(p.Opts)

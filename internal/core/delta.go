@@ -172,6 +172,6 @@ func loopsEqual(a, b []Loop) bool {
 }
 
 // Clone deep-copies the Result out of whatever arena it aliases, for
-// callers of EvaluateInto/EvaluateDelta/EvaluateBatch that keep a result
-// beyond the arena's next use.
+// callers of EvaluateInto/EvaluateDelta that keep a result beyond the
+// arena's next use.
 func (r *Result) Clone() *Result { return cloneResult(r) }

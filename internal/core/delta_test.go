@@ -2,10 +2,15 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/dataflows"
+	"repro/internal/workload"
 )
 
 // TestEvaluateDeltaMatchesCold walks a 120-step seeded perturbation chain
@@ -154,6 +159,37 @@ func TestEvaluateDeltaInvalidRecovery(t *testing.T) {
 	}
 }
 
+// TestEvaluateDeltaCancellation: a done context fails the call with
+// ctx.Err() mid-chain, and the poisoned caches recover on the next live
+// call, which must match cold exactly.
+func TestEvaluateDeltaCancellation(t *testing.T) {
+	df, tilings := perturbedFactorWalk(t, 42, 10)
+	root, g, spec := benchDesignPoint(t)
+	prog, err := core.Compile(root, g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := prog.NewDelta(core.Options{})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, cand := range tilings {
+		if i%3 == 1 {
+			if res, err := prog.EvaluateDelta(cancelled, d, cand, core.Options{}); res != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("step %d not cancelled: res=%v err=%v", i, res, err)
+			}
+			continue
+		}
+		cold, coldErr := core.Evaluate(cand, df.Graph(), spec, core.Options{})
+		res, errD := prog.EvaluateDelta(context.Background(), d, cand, core.Options{})
+		if (coldErr == nil) != (errD == nil) {
+			t.Fatalf("step %d: cold err %v, delta err %v", i, coldErr, errD)
+		}
+		if coldErr == nil {
+			assertResultsIdentical(t, fmt.Sprintf("step %d", i), cold, res)
+		}
+	}
+}
+
 // TestEvaluateDeltaResultClone: the returned Result aliases the state's
 // arena; Clone detaches it.
 func TestEvaluateDeltaResultClone(t *testing.T) {
@@ -181,5 +217,98 @@ func TestEvaluateDeltaResultClone(t *testing.T) {
 	}
 	if first.Cycles != firstCycles {
 		t.Fatalf("cloned result mutated: %v vs %v", first.Cycles, firstCycles)
+	}
+}
+
+// perturbedFactorWalk builds n tilings of the benchmark structure by
+// walking the dataflow's factor space with a seeded RNG (one random factor
+// moves to a random divisor per step). Some candidates are infeasible (over
+// capacity), which is exactly what a mapper feeds the evaluator.
+func perturbedFactorWalk(tb testing.TB, seed int64, n int) (dataflows.Dataflow, []*core.Node) {
+	tb.Helper()
+	shape, ok := workload.AttentionShapeByName("Bert-S")
+	if !ok {
+		tb.Fatal("attention shape Bert-S not found")
+	}
+	df := dataflows.FLATRGran(shape, arch.Edge())
+	specs := df.Factors()
+	rng := rand.New(rand.NewSource(seed))
+	f := df.DefaultFactors()
+	tilings := make([]*core.Node, 0, n)
+	for len(tilings) < n {
+		nf := make(map[string]int, len(f))
+		for k, v := range f {
+			nf[k] = v
+		}
+		fs := specs[rng.Intn(len(specs))]
+		ch := fs.Choices()
+		nf[fs.Key] = ch[rng.Intn(len(ch))]
+		cand, err := df.Build(nf)
+		if err != nil {
+			continue
+		}
+		f = nf
+		tilings = append(tilings, cand)
+	}
+	return df, tilings
+}
+
+// assertResultsIdentical compares every field of two Results for exact
+// (bitwise, for floats) equality.
+func assertResultsIdentical(t *testing.T, what string, a, b *core.Result) {
+	t.Helper()
+	if a.Cycles != b.Cycles || a.ComputeCycles != b.ComputeCycles {
+		t.Fatalf("%s: cycles %v/%v vs %v/%v", what, a.Cycles, a.ComputeCycles, b.Cycles, b.ComputeCycles)
+	}
+	if a.MACs != b.MACs || a.VectorOps != b.VectorOps {
+		t.Fatalf("%s: ops differ", what)
+	}
+	if a.PEsUsed != b.PEsUsed || a.TotalPEs != b.TotalPEs || a.Utilization != b.Utilization {
+		t.Fatalf("%s: PE figures differ", what)
+	}
+	if len(a.DM) != len(b.DM) {
+		t.Fatalf("%s: DM lengths differ", what)
+	}
+	for l := range a.DM {
+		if a.DM[l] != b.DM[l] {
+			t.Fatalf("%s: DM[%d] %+v vs %+v", what, l, a.DM[l], b.DM[l])
+		}
+	}
+	if len(a.TensorDM) != len(b.TensorDM) {
+		t.Fatalf("%s: TensorDM key sets differ: %d vs %d", what, len(a.TensorDM), len(b.TensorDM))
+	}
+	for k, av := range a.TensorDM {
+		bv, ok := b.TensorDM[k]
+		if !ok || len(av) != len(bv) {
+			t.Fatalf("%s: TensorDM[%q] missing or wrong length", what, k)
+		}
+		for l := range av {
+			if av[l] != bv[l] {
+				t.Fatalf("%s: TensorDM[%q][%d] %+v vs %+v", what, k, l, av[l], bv[l])
+			}
+		}
+	}
+	for l := range a.UnitUsage {
+		if a.UnitUsage[l] != b.UnitUsage[l] {
+			t.Fatalf("%s: UnitUsage[%d] differs", what, l)
+		}
+	}
+	for l := range a.FootprintWords {
+		if a.FootprintWords[l] != b.FootprintWords[l] {
+			t.Fatalf("%s: FootprintWords[%d] %d vs %d", what, l, a.FootprintWords[l], b.FootprintWords[l])
+		}
+	}
+	for l := range a.SlowDown {
+		if a.SlowDown[l] != b.SlowDown[l] || a.BandwidthReqGBs[l] != b.BandwidthReqGBs[l] {
+			t.Fatalf("%s: slowdown/bandwidth[%d] differ", what, l)
+		}
+	}
+	if a.Energy.ComputePJ != b.Energy.ComputePJ {
+		t.Fatalf("%s: compute energy differs", what)
+	}
+	for l := range a.Energy.PerLevelPJ {
+		if a.Energy.PerLevelPJ[l] != b.Energy.PerLevelPJ[l] {
+			t.Fatalf("%s: energy[%d] differs", what, l)
+		}
 	}
 }

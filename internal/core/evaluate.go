@@ -26,7 +26,7 @@ var ErrInvalidMapping = errors.New("core: invalid mapping")
 // ErrStructureMismatch marks a re-bind rejection: the tree's shape, levels,
 // sibling bindings or operators differ from the compiled structure. Every
 // such error also matches ErrInvalidMapping; the finer mark lets callers on
-// the re-bind fast path (WithTiling, EvaluateDelta, EvaluateBatch) tell a
+// the re-bind fast path (WithTiling, EvaluateDelta) tell a
 // wrong structure — worth recompiling for — from an invalid tiling of the
 // right structure, which a recompile would reject identically.
 var ErrStructureMismatch = errors.New("core: structure mismatch")

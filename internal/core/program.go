@@ -211,20 +211,13 @@ func (p *Program) Evaluate(ctx context.Context, opts Options) (*Result, error) {
 
 // EvaluateInto is Evaluate running entirely inside the caller-owned
 // scratch arena: the returned Result aliases the arena and is valid only
-// until its next use. Steady-state calls perform zero heap allocations —
-// this is the throughput primitive under EvaluateBatch and the mappers.
+// until its next use. Steady-state calls perform zero heap allocations.
 // The arena must come from this Program family's NewScratch.
 func (p *Program) EvaluateInto(ctx context.Context, s *Scratch, opts Options) (*Result, error) {
-	return p.evaluateInto(ctx, s, p.t, opts)
-}
-
-// evaluateInto runs the analysis for an explicit tree view (the batch path
-// re-binds s.view per candidate and passes it here).
-func (p *Program) evaluateInto(ctx context.Context, s *Scratch, t *tree, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := &evaluator{ctx: ctx, p: p, t: t, opts: opts, s: s}
+	e := &evaluator{ctx: ctx, p: p, t: p.t, opts: opts, s: s}
 	return e.run()
 }
 

@@ -45,7 +45,7 @@ type Scratch struct {
 	perLevel []float64
 	res      Result
 
-	// view is a reusable rebind view for the batch path: one tree view is
+	// view is a reusable rebind view for the delta path: one tree view is
 	// re-filled per candidate instead of allocated.
 	view tree
 }

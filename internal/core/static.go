@@ -250,14 +250,14 @@ func leafOperators(root *Node) map[*workload.Operator]*Node {
 	return out
 }
 
-// QuickReject is the mapper's pre-screen: the subset of AnalyzeStatic that
-// runs in one tree walk with no compiled tables at all — structural
+// QuickReject is a per-candidate pre-screen: the subset of AnalyzeStatic
+// that runs in one tree walk with no compiled tables at all — structural
 // legality, tiling coverage, loop dims, and (per opts) the PE and
 // instance-occupancy budgets. It fails fast and returns the exact error
 // the Compile/Evaluate pipeline would produce, or nil when no static rule
 // (capacity excepted, which needs compiled access groups) rejects the
-// point. A nil result therefore never changes search outcomes: the point
-// proceeds to full evaluation exactly as before.
+// point. Screening with it therefore never changes which points a caller
+// accepts: a nil result proceeds to full evaluation exactly as before.
 func QuickReject(root *Node, g *workload.Graph, spec *arch.Spec, opts Options) error {
 	if err := spec.Validate(); err != nil {
 		return err

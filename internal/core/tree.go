@@ -450,8 +450,8 @@ func (t *tree) rebind(newRoot *Node) (*tree, error) {
 }
 
 // rebindInto is rebind writing into a caller-owned tree view, reusing its
-// nodeSet backing array. It is what makes the batch and delta evaluation
-// paths allocation-free: one view is re-filled per candidate.
+// nodeSet backing array. It is what makes the delta evaluation path
+// allocation-free: one view is re-filled per candidate.
 func (t *tree) rebindInto(nt *tree, newRoot *Node) error {
 	nt.root = newRoot
 	nt.id = nil

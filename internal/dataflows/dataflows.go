@@ -49,10 +49,10 @@ type Dataflow interface {
 // StructureStable is an optional Dataflow capability: a template declares
 // that every factor assignment Build accepts yields a tree with the same
 // structure — shape, levels, bindings and operators; only loop nests
-// differ. Mappers exploit it to core.Compile the template's tree once and
-// re-bind tilings through core.Program.WithTiling instead of recompiling
-// per candidate. Factor-1 loops may come and go freely (builders drop
-// them); what must not vary is the node tree itself.
+// differ. Factor-1 loops may come and go freely (builders drop them); what
+// must not vary is the node tree itself. The declaration is informational:
+// mapper.TileSearch compiles every template once and recompiles only when
+// a candidate's tree shape differs from the compiled one.
 type StructureStable interface {
 	// StructureStable reports whether Build's tree structure is
 	// independent of the factor assignment.

@@ -1,6 +1,8 @@
 package mapper
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -62,35 +64,114 @@ func TestTileSearchDeterministic(t *testing.T) {
 	}
 }
 
-// hideStability wraps a dataflow behind the bare Dataflow interface so the
-// StructureStable capability is invisible: TileSearch then takes the cold
-// per-candidate compile path.
-type hideStability struct{ dataflows.Dataflow }
+// coldOracle replays a search's recorded candidates — every factor map it
+// built, in order, the template-default seed first — through cold
+// core.Evaluate, and rebuilds the best evaluation and the best-so-far trace
+// the search must have reported had each candidate been evaluated from
+// scratch.
+func coldOracle(df dataflows.Dataflow, spec *arch.Spec, built []map[string]int) (*Evaluation, []float64) {
+	var best *Evaluation
+	trace := make([]float64, 0, len(built))
+	for i, f := range built {
+		if root, err := df.Build(f); err == nil {
+			if res, err := core.Evaluate(root, df.Graph(), spec, core.Options{}); err == nil && (best == nil || res.Cycles < best.Cycles) {
+				best = &Evaluation{Factors: f, Cycles: res.Cycles, Result: res}
+			}
+		}
+		if i == 0 {
+			continue // the seed precedes the first round
+		}
+		if best != nil {
+			trace = append(trace, best.Cycles)
+		} else {
+			trace = append(trace, math.Inf(1))
+		}
+	}
+	return best, trace
+}
 
-// TestTileSearchProgramReuseMatchesCold: the compiled fast path (one
-// Compile, per-rollout re-binds) must visit the same candidates and return
-// the same best evaluation as the cold path for the same seed.
-func TestTileSearchProgramReuseMatchesCold(t *testing.T) {
+// checkAgainstColdOracle runs a recorded search and requires its best
+// evaluation and trace to equal the cold oracle's over the same candidates.
+// It returns the candidates and how many times the search compiled.
+func checkAgainstColdOracle(t *testing.T, df dataflows.Dataflow, spec *arch.Spec, rounds int, seed int64) ([]map[string]int, int64) {
+	t.Helper()
+	rec := &recordingDataflow{Dataflow: df}
+	s := &TileSearch{Dataflow: rec, Spec: spec, Rounds: rounds, Seed: seed}
+	c0 := core.CompileCount()
+	best, trace := s.Run()
+	compiles := core.CompileCount() - c0
+	if best == nil {
+		t.Fatal("no valid mapping")
+	}
+	if len(rec.built) != rounds+1 {
+		t.Fatalf("search built %d candidates, want %d (seed + one per round)", len(rec.built), rounds+1)
+	}
+	want, wantTrace := coldOracle(df, spec, rec.built)
+	if !reflect.DeepEqual(best, want) {
+		t.Errorf("search best %v (%v cycles), cold oracle %v (%v cycles)", best.Factors, best.Cycles, want.Factors, want.Cycles)
+	}
+	if !reflect.DeepEqual(trace, wantTrace) {
+		t.Errorf("search trace differs from the cold oracle's")
+	}
+	return rec.built, compiles
+}
+
+// TestTileSearchMatchesColdOracle: the compiled delta path (one Compile,
+// per-rollout re-binds into one DeltaState) reports exactly the best
+// evaluation and trace that cold evaluation of the same candidates gives.
+func TestTileSearchMatchesColdOracle(t *testing.T) {
 	shape, _ := workload.AttentionShapeByName("ViT/16-B")
 	spec := arch.Edge()
-	run := func(df dataflows.Dataflow) (*Evaluation, []float64) {
-		s := &TileSearch{Dataflow: df, Spec: spec, Rounds: 120, Seed: 7}
-		best, trace := s.Run()
-		if best == nil {
-			t.Fatal("no valid mapping")
-		}
-		return best, trace
+	_, compiles := checkAgainstColdOracle(t, dataflows.FLATRGran(shape, spec), spec, 120, 7)
+	if compiles != 1 {
+		t.Errorf("search compiled %d times, want 1", compiles)
 	}
-	fast, fastTrace := run(dataflows.FLATRGran(shape, spec))
-	cold, coldTrace := run(hideStability{dataflows.FLATRGran(shape, spec)})
+}
 
-	if !reflect.DeepEqual(fast.Factors, cold.Factors) {
-		t.Errorf("fast path best factors %v, cold %v", fast.Factors, cold.Factors)
+// shapeShiftTemplate is narrowTemplate with a tree shape that depends on a
+// factor: b > 1 inserts an extra spatial tile above the leaf, so
+// successive candidates switch between two compiled structures.
+type shapeShiftTemplate struct{ narrowTemplate }
+
+func (t *shapeShiftTemplate) Build(f map[string]int) (*core.Node, error) {
+	a, b := f["a"], f["b"]
+	if a < 1 || b < 1 || t.i%(a*b) != 0 {
+		return nil, fmt.Errorf("a=%d, b=%d do not tile %d", a, b, t.i)
 	}
-	if !reflect.DeepEqual(fast.Result, cold.Result) {
-		t.Errorf("fast path best Result differs from cold path")
+	inner := core.Leaf("lf", t.g.Op("A"), core.T("i", t.i/(a*b)), core.T("k", 8))
+	if b > 1 {
+		inner = core.Tile("sp", 0, core.Seq, []core.Loop{core.S("i", b)}, inner)
 	}
-	if !reflect.DeepEqual(fastTrace, coldTrace) {
-		t.Errorf("fast path trace differs from cold path")
+	t1 := core.Tile("t1", 1, core.Seq, nil, inner)
+	return core.Tile("r", 2, core.Seq, []core.Loop{core.T("i", a)}, t1), nil
+}
+
+// TestTileSearchRecompilesOnShapeChange: a template whose structure varies
+// with its factors goes through the ErrStructureMismatch recompile path,
+// and the search still matches the cold oracle exactly.
+func TestTileSearchRecompilesOnShapeChange(t *testing.T) {
+	df := &shapeShiftTemplate{narrowTemplate{g: narrowGraph(16, 8), i: 16}}
+	built, compiles := checkAgainstColdOracle(t, df, narrowSpec(), 60, 5)
+	// The search compiles its first buildable candidate, then recompiles
+	// exactly when a buildable candidate's shape differs from the last one.
+	want, shape := int64(0), 0
+	for _, f := range built {
+		if _, err := df.Build(f); err != nil {
+			continue
+		}
+		s := 1
+		if f["b"] > 1 {
+			s = 2
+		}
+		if s != shape {
+			want++
+			shape = s
+		}
+	}
+	if want < 3 {
+		t.Fatalf("only %d structure runs among the candidates; the test needs shape changes", want)
+	}
+	if compiles != want {
+		t.Errorf("search compiled %d times, want %d (once per structure change)", compiles, want)
 	}
 }

@@ -57,7 +57,6 @@ type narrowTemplate struct {
 
 func (t *narrowTemplate) Name() string           { return "narrow-template" }
 func (t *narrowTemplate) Graph() *workload.Graph { return t.g }
-func (t *narrowTemplate) StructureStable() bool  { return false }
 func (t *narrowTemplate) Factors() []dataflows.FactorSpec {
 	return []dataflows.FactorSpec{
 		{Key: "a", Total: t.i, Doc: "temporal i tile at DRAM"},

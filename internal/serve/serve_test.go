@@ -348,6 +348,83 @@ func TestBatchLimits(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesSingle: every batch item answers exactly what the same
+// request answers alone on /v1/evaluate — the same response body (cached
+// flag aside) or the same error message — across two tilings of one
+// structure, a duplicate, an invalid tiling, an infeasible point, a tuned
+// template and an item with its own deadline.
+func TestBatchMatchesSingle(t *testing.T) {
+	const root = "tile root @L2 = { m:1 } (mm)\n"
+	reqs := []EvaluateRequest{
+		{Arch: "edge", Workload: "matmul:8x8x8", Notation: "leaf mm = op mm { Sp(m:2), m:4, n:8, k:8 }\n" + root},
+		{Arch: "edge", Workload: "matmul:8x8x8", Notation: "leaf mm = op mm { m:8, n:8, k:8 }\n" + root},
+		{Arch: "edge", Workload: "matmul:8x8x8", Notation: "leaf mm = op mm { Sp(m:2), m:4, n:8, k:8 }\n" + root},
+		{Arch: "edge", Workload: "matmul:8x8x8", Notation: "leaf mm = op mm { m:4, n:8, k:4 }\n" + root},
+		{Arch: "edge", Workload: "matmul:128x128x8", Notation: "leaf mm = op mm { Sp(m:128), Sp(n:128), k:8 }\n" + root},
+		{Arch: "edge", Workload: "attention:Bert-S", Dataflow: "FLAT-RGran", Tune: 8, Seed: 3},
+		{Arch: "edge", Workload: "attention:Bert-S", Dataflow: "Layerwise", TimeoutMS: 60000},
+	}
+	canonical := func(resp *EvaluateResponse) string {
+		c := *resp
+		c.Cached = false
+		b, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	_, single := newTestServer(t, Config{})
+	wantBody := make([]string, len(reqs))
+	wantErr := make([]string, len(reqs))
+	for i := range reqs {
+		resp, body := postJSON(t, single.URL+"/v1/evaluate", &reqs[i])
+		if resp.StatusCode == http.StatusOK {
+			var er EvaluateResponse
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatal(err)
+			}
+			wantBody[i] = canonical(&er)
+			continue
+		}
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+			t.Fatalf("request %d: status %d with body %s", i, resp.StatusCode, body)
+		}
+		wantErr[i] = eb.Error
+	}
+	for i, want := range []bool{true, true, true, false, false, true, true} {
+		if (wantBody[i] != "") != want {
+			t.Fatalf("request %d: success=%v, want %v (error %q)", i, wantBody[i] != "", want, wantErr[i])
+		}
+	}
+
+	_, batch := newTestServer(t, Config{})
+	resp, body := postJSON(t, batch.URL+"/v1/evaluate/batch", &BatchRequest{Requests: reqs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var bresp BatchResponse
+	if err := json.Unmarshal(body, &bresp); err != nil {
+		t.Fatal(err)
+	}
+	if len(bresp.Items) != len(reqs) {
+		t.Fatalf("items = %d, want %d", len(bresp.Items), len(reqs))
+	}
+	for i, it := range bresp.Items {
+		if it.Error != wantErr[i] {
+			t.Errorf("item %d: error %q, single request said %q", i, it.Error, wantErr[i])
+		}
+		got := ""
+		if it.Response != nil {
+			got = canonical(it.Response)
+		}
+		if got != wantBody[i] {
+			t.Errorf("item %d: response differs from the single request:\n got %s\nwant %s", i, got, wantBody[i])
+		}
+	}
+}
+
 func TestSearchEndpointCaches(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	req := SearchRequest{

@@ -623,23 +623,6 @@ type BatchResponse struct {
 	Items []BatchItem `json:"items"`
 }
 
-// batchGroupKey identifies one Program.EvaluateBatch call: design points
-// sharing a compiled structure and evaluation options run as a single
-// batch. core.Options is a flat struct of bools, so the composite key is
-// comparable.
-type batchGroupKey struct {
-	pk   string
-	opts core.Options
-}
-
-// batchPoint is one batch item headed for the grouped fast path.
-type batchPoint struct {
-	idx int
-	dp  *designPoint
-	key string // canonical outcome cache key
-	rk  string // request-literal fast-path key ("" when unusable)
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.IncRequest("evaluate_batch")
 	var breq BatchRequest
@@ -655,78 +638,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := make([]BatchItem, len(breq.Requests))
-
-	// Resolve phase: answer cache hits inline, route explicit-tree items
-	// into per-structure groups for Program.EvaluateBatch, and leave the
-	// rest (tuned templates, per-item timeouts) to the general pipeline.
-	groups := map[batchGroupKey][]*batchPoint{}
-	var loose []int
+	var wg sync.WaitGroup
 	for i := range breq.Requests {
-		req := &breq.Requests[i]
-		if req.TimeoutMS != 0 {
-			// A per-item deadline cannot ride a shared batch evaluation.
-			loose = append(loose, i)
-			continue
-		}
-		rk, rok := requestKey(req)
-		if rok && !req.NoCache {
-			if ck, ok := s.reqKeys.Get(rk); ok {
-				if v, ok := s.cache.Get(ck.(string)); ok {
-					items[i].Response = v.(*evalOutcome).response(true)
-					continue
-				}
-			}
-		}
-		dp, err := resolve(req)
-		if err != nil {
-			items[i].Error = err.Error()
-			continue
-		}
-		key := dp.key()
-		if !req.NoCache {
-			if v, ok := s.cache.Get(key); ok {
-				if rok {
-					s.reqKeys.Put(rk, key)
-				}
-				items[i].Response = v.(*evalOutcome).response(true)
-				continue
-			}
-		}
-		if dp.root == nil {
-			loose = append(loose, i)
-			continue
-		}
-		if !rok {
-			rk = ""
-		}
-		gk := batchGroupKey{pk: programKey(dp.spec, dp.g, dp.root), opts: dp.opts}
-		groups[gk] = append(groups[gk], &batchPoint{idx: i, dp: dp, key: key, rk: rk})
-	}
-
-	done := make(chan struct{})
-	launched := 0
-	for gk, pts := range groups {
-		launched++
-		go func(gk batchGroupKey, pts []*batchPoint) {
-			defer func() { done <- struct{}{} }()
-			// net/http's panic recovery only covers the handler goroutine;
-			// without this a panic in one group would kill the daemon.
-			defer func() {
-				if p := recover(); p != nil {
-					for _, pt := range pts {
-						if items[pt.idx].Response == nil && items[pt.idx].Error == "" {
-							items[pt.idx].Error = fmt.Sprintf("internal error: %v", p)
-						}
-					}
-				}
-			}()
-			s.evaluateGroup(r.Context(), gk, pts, items)
-		}(gk, pts)
-	}
-	for _, i := range loose {
-		launched++
+		wg.Add(1)
 		go func(i int) {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
+			// net/http's panic recovery only covers the handler goroutine;
+			// without this a panic in one item would kill the daemon.
 			defer func() {
 				if p := recover(); p != nil {
 					items[i].Error = fmt.Sprintf("internal error: %v", p)
@@ -740,102 +658,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].Response = resp
 		}(i)
 	}
-	for n := 0; n < launched; n++ {
-		<-done
-	}
+	wg.Wait()
 	s.writeJSON(w, http.StatusOK, &BatchResponse{Items: items})
-}
-
-// evaluateGroup runs one structure-sharing group of batch items through
-// Program.EvaluateBatch under a single worker-pool slot: the compiled
-// Program is fetched from (or installed into) the program cache once, and
-// every tiling is re-bound into it instead of compiling per item. Each
-// item's result is bit-identical to the single-request route (pinned by
-// the conformance differentials), so outcomes enter the same response
-// cache.
-func (s *Server) evaluateGroup(ctx context.Context, gk batchGroupKey, pts []*batchPoint, items []BatchItem) {
-	start := time.Now()
-	defer func() {
-		elapsed := time.Since(start)
-		for range pts {
-			s.metrics.ObserveLatency(elapsed)
-		}
-	}()
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
-	defer cancel()
-
-	dp0 := pts[0].dp
-	roots := make([]*core.Node, len(pts))
-	for j, pt := range pts {
-		roots[j] = pt.dp.root
-	}
-	var results []*core.Result
-	var errs []error
-	perr := s.pool.Do(ctx, func() error {
-		var p *core.Program
-		if v, ok := s.programs.Get(gk.pk); ok {
-			cp := v.(*core.Program)
-			if _, err := cp.WithTiling(roots[0]); !errors.Is(err, core.ErrStructureMismatch) {
-				// Re-bind accepts the structure (a tiling-validation error
-				// still means the shapes line up); reuse the compilation.
-				p = cp
-			}
-		}
-		if p == nil {
-			// Seed the Program from the first compilable tiling; items whose
-			// own tiling is invalid get their per-item error from the batch
-			// re-bind below, identical to what their own compile would say.
-			cerrs := make([]error, len(roots))
-			for j, root := range roots {
-				cp, cerr := core.Compile(root, dp0.g, dp0.spec)
-				if cerr == nil {
-					p = cp
-					s.programs.Put(gk.pk, p)
-					break
-				}
-				cerrs[j] = cerr
-			}
-			if p == nil {
-				// Every tiling failed to compile: report each item's own error.
-				for j, pt := range pts {
-					if cerrs[j] != nil {
-						items[pt.idx].Error = cerrs[j].Error()
-					}
-				}
-				return nil
-			}
-		}
-		results, errs = p.EvaluateBatch(ctx, roots, gk.opts)
-		return nil
-	})
-	if perr != nil {
-		for _, pt := range pts {
-			if items[pt.idx].Error == "" {
-				items[pt.idx].Error = perr.Error()
-			}
-		}
-		return
-	}
-	if results == nil {
-		return // every tiling failed to compile; errors already set
-	}
-	for j, pt := range pts {
-		if errs[j] != nil {
-			items[pt.idx].Error = errs[j].Error()
-			continue
-		}
-		out := &evalOutcome{
-			workload: pt.dp.g.Name,
-			dfName:   pt.dp.dfName,
-			archName: pt.dp.spec.Name,
-			result:   NewResultJSON(results[j], pt.dp.spec),
-		}
-		s.cache.Put(pt.key, out)
-		if pt.rk != "" {
-			s.reqKeys.Put(pt.rk, pt.key)
-		}
-		items[pt.idx].Response = out.response(false)
-	}
 }
 
 // SearchRequest runs the Sec 6 GA+MCTS mapper over the full 3D fusion

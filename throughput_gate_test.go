@@ -18,7 +18,7 @@ import (
 )
 
 // TestMapperThroughputGate is the TILEFLOW_BENCH-gated acceptance gate of
-// the batched/incremental evaluation refactor: the mapper's end-to-end
+// the incremental evaluation engine: the mapper's end-to-end
 // evaluation throughput on the canonical design point (TileFlow attention
 // template on ViT/16-B, MCTS Rounds=100) must reach at least 3x the PR2
 // compiled-path baseline, with zero steady-state heap allocations per
@@ -92,7 +92,7 @@ func TestMapperThroughputGate(t *testing.T) {
 		out = "BENCH_PR7.json"
 	}
 	report := map[string]any{
-		"description": "Batched + incremental evaluation engine throughput (PR 7). Mapper: TileFlow attention template on ViT/16-B, MCTS Rounds=100 (101 evaluations per run); every rollout evaluates through Program.EvaluateDelta against a persistent DeltaState, GA generations batch through Program.EvaluateBatch, and the steady-state arena evaluator allocates nothing. Baseline = PR2's compiled WithTiling path (BENCH_PR2.json).",
+		"description": "Incremental evaluation engine throughput. Mapper: TileFlow attention template on ViT/16-B, MCTS Rounds=100 (101 evaluations per run); every rollout evaluates through Program.EvaluateDelta against a persistent DeltaState, and the steady-state arena evaluator allocates nothing. Baseline = the compiled WithTiling path recorded in BENCH_PR2.json.",
 		"cpu":         gateCPUModel(),
 		"go_bench_cmd": "TILEFLOW_BENCH=1 go test . -run TestMapperThroughputGate -count=1 -v; " +
 			"go test . -run '^$' -bench 'BenchmarkMapperThroughput' -benchtime 1500x",
@@ -102,8 +102,8 @@ func TestMapperThroughputGate(t *testing.T) {
 			"baseline_pr2_evals_per_sec":   baselineEvalsPerSec,
 			"speedup_vs_pr2":               gateRound3(speedup),
 			"steady_state_allocs_per_eval": steadyAllocs,
-			"identical_best_point_test":    "internal/mapper TestTileSearchProgramReuseMatchesCold",
-			"bit_identity_differential":    "internal/conformance TestConformance (batch + delta routes)",
+			"identical_best_point_test":    "internal/mapper TestTileSearchMatchesColdOracle",
+			"bit_identity_differential":    "internal/conformance TestConformance (delta route)",
 		},
 		"speedup_gate": map[string]any{
 			"test":         "TestMapperThroughputGate (TILEFLOW_BENCH=1)",
