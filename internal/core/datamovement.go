@@ -374,6 +374,10 @@ type tensorGroup struct {
 	// arena's flat per-tensor rows), or -1 when this group's traffic is
 	// never attributed. Assigned by Compile; -1 until then.
 	tensorID int
+	// density is the tensor's effective density when below 1, else 1:
+	// sparse tensors travel and stage in compressed form (Sec 7.7
+	// extension). Assigned by stampDensities; 1 until then.
+	density float64
 	// evicts marks Seq eviction (Sec 5.1.2): under Seq a tile's slices are
 	// evicted unless the following tile needs them, so a tensor used by a
 	// strict subset of the children loses all reuse at this node.
@@ -403,7 +407,7 @@ func buildStructure(t *tree) {
 			if !ok {
 				gi = len(groups)
 				idx[tensor] = gi
-				groups = append(groups, tensorGroup{tensor: tensor, tensorID: -1})
+				groups = append(groups, tensorGroup{tensor: tensor, tensorID: -1, density: 1})
 			}
 			return &groups[gi]
 		}

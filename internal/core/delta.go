@@ -93,15 +93,21 @@ func (p *Program) EvaluateDelta(ctx context.Context, d *DeltaState, root *Node, 
 		d.valid = false
 	}
 	t := &d.s.view
-	if err := p.t.rebindInto(t, root); err != nil {
+	if err := p.t.rebindNodes(t, root); err != nil {
 		return nil, err
 	}
 	e := &evaluator{ctx: ctx, p: p, t: t, opts: d.opts, s: d.s, delta: d}
 	if e.ctx == nil {
 		e.ctx = context.Background()
 	}
-	if d.valid {
+	if !d.valid {
+		t.setLdim()
+	} else {
+		// The diff reads only the loops, so it runs first and the view
+		// recomputes just the rows of the nodes it marks dirty: every
+		// other row was computed under the snapshot's equal loops.
 		d.diff(t)
+		t.setRows(d.dirty)
 		e.affected = d.affected
 		e.fpNeed = d.fpNeed
 		e.vDirty = d.dirty

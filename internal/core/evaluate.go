@@ -267,11 +267,7 @@ func (e *evaluator) run() (*Result, error) {
 		}
 	}
 
-	if e.fpNeed == nil {
-		res.FootprintWords = t.footprintInto(s.fpRows, spec.NumLevels(), e.p.confRel, e.p.density)
-	} else {
-		res.FootprintWords = t.footprintDeltaInto(s.fpRows, spec.NumLevels(), e.p.confRel, e.p.density, e.fpNeed)
-	}
+	res.FootprintWords = t.footprintInto(s.fpRows, spec.NumLevels(), e.p.confRel, e.fpNeed)
 	if !opts.SkipCapacityCheck {
 		for l := 0; l < spec.DRAMLevel(); l++ {
 			if need, have := res.FootprintWords[l], spec.CapacityWords(l); need > have {
@@ -317,16 +313,21 @@ func (e *evaluator) run() (*Result, error) {
 	return res, nil
 }
 
-// densityOf snapshots the graph's per-tensor densities for the footprint
-// computation (only non-dense entries matter).
-func densityOf(g *workload.Graph) map[string]float64 {
-	out := map[string]float64{}
-	for name, t := range g.Tensors {
-		if d := t.EffDensity(); d < 1 {
-			out[name] = d
+// stampDensities records each tensor group's effective density from the
+// graph, so the per-tiling passes read a field instead of hashing the
+// tensor name. Like the tensor ids, it runs on a structure its caller
+// still owns.
+func (t *tree) stampDensities(g *workload.Graph) {
+	for i := range t.st.groups {
+		for gi := range t.st.groups[i] {
+			grp := &t.st.groups[i][gi]
+			if tt, ok := g.Tensors[grp.tensor]; ok {
+				if d := tt.EffDensity(); d < 1 {
+					grp.density = d
+				}
+			}
 		}
 	}
-	return out
 }
 
 // macOps and vectorOps count effective operations: on gating hardware a
@@ -398,8 +399,7 @@ func validateTiling(t *tree, g *workload.Graph) error {
 // interned, which validation rejects elsewhere) fall back to strings.
 func (t *tree) fullCoverage(leafID int, dim string) int {
 	cov := 1
-	if id, ok := t.st.dimID[dim]; ok {
-		d := int32(id)
+	if d := t.st.internDim(dim); d >= 0 {
 		for m := leafID; m >= 0; m = t.st.parent[m] {
 			cov *= t.dimExtentAt(m, d)
 		}
@@ -590,7 +590,7 @@ func (e *evaluator) groupDM(i, gi int, grp *tensorGroup) (tf, tu float64) {
 	}
 	// Sparse tensors travel in compressed form (Sec 7.7
 	// extension): traffic scales with density.
-	if d, sparse := e.p.density[grp.tensor]; sparse {
+	if d := grp.density; d < 1 {
 		tf *= d
 		tu *= d
 	}

@@ -53,9 +53,6 @@ type Program struct {
 	// maxIndexDims is the widest access index across the graph's
 	// operators, sizing the per-access scratch vectors.
 	maxIndexDims int
-	// density holds the effective density of each non-dense tensor;
-	// dense tensors are absent.
-	density map[string]float64
 	// opDensity is the per-leaf gating density (Graph.OpDensity of the
 	// leaf's operator), indexed by pre-order node id; 1.0 elsewhere.
 	opDensity []float64
@@ -102,7 +99,6 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 		t:         t,
 		confine:   confine,
 		confRel:   confRelTable(t, confine),
-		density:   densityOf(g),
 		opDensity: opDensity,
 		macs:      macOps(g),
 		vops:      vectorOps(g),
@@ -148,6 +144,7 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 			}
 		}
 	}
+	t.stampDensities(g)
 	for _, op := range g.Ops {
 		for _, r := range op.Reads {
 			if len(r.Index) > p.maxIndexDims {

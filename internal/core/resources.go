@@ -196,8 +196,17 @@ func confRelTable(t *tree, confine map[string]int) [][]confRel {
 // at once. Children combine element-wise by max: Seq children own the
 // buffers in turns, and Para/Pipe children occupy *different* instances at
 // their level, so per-instance occupancy does not add.
-func (t *tree) footprintInto(rows []int64, numLevels int, rel [][]confRel, density map[string]float64) []int64 {
+//
+// need, when non-nil, restricts the pass to the rows it marks — the delta
+// path's footprint phase. A node's row is a pure function of its
+// subtree's loops (slice volumes read the path below the node; children
+// rows fold in the rest), so rows whose subtrees did not change since
+// they were last written are reused as-is.
+func (t *tree) footprintInto(rows []int64, numLevels int, rel [][]confRel, need []bool) []int64 {
 	for id := len(t.nodeSet) - 1; id >= 0; id-- {
+		if need != nil && !need[id] {
+			continue
+		}
 		nd := t.nodeSet[id]
 		f := rows[id*numLevels : id*numLevels+numLevels]
 		// Children combine element-wise by max into this node's row.
@@ -242,65 +251,8 @@ func (t *tree) footprintInto(rows []int64, numLevels int, rel [][]confRel, densi
 			}
 			stage(grp.reads)
 			stage(grp.writes)
-			if d, ok := density[grp.tensor]; ok && d < 1 {
+			if d := grp.density; d < 1 {
 				// Compressed sparse staging occupies less buffer space.
-				best = int64(float64(best) * d)
-			}
-			own += best
-		}
-		f[nd.Level] += own
-	}
-	return rows[0:numLevels:numLevels]
-}
-
-// footprintDeltaInto is footprintInto recomputing only the rows marked in
-// need. A node's row is a pure function of its subtree's loops (slice
-// volumes read the path below the node; children rows fold in the rest),
-// so rows whose subtrees did not change since the rows were last written
-// are reused as-is — the delta path's footprint phase.
-func (t *tree) footprintDeltaInto(rows []int64, numLevels int, rel [][]confRel, density map[string]float64, need []bool) []int64 {
-	for id := len(t.nodeSet) - 1; id >= 0; id-- {
-		if !need[id] {
-			continue
-		}
-		nd := t.nodeSet[id]
-		f := rows[id*numLevels : id*numLevels+numLevels]
-		for l := range f {
-			f[l] = 0
-		}
-		for _, cid := range t.st.children[id] {
-			cf := rows[cid*numLevels : cid*numLevels+numLevels]
-			for l := range f {
-				if cf[l] > f[l] {
-					f[l] = cf[l]
-				}
-			}
-		}
-		var own int64
-		for gi := range t.st.groups[id] {
-			grp := &t.st.groups[id][gi]
-			if rel[id][gi] == confBelow {
-				continue
-			}
-			var best int64
-			home := rel[id][gi] == confHere || nd.IsLeaf()
-			stage := func(refs []accessRef) {
-				for _, r := range refs {
-					var v int64
-					if home {
-						v = t.sliceVolumePerInstanceI(id, r.leafID, r.iix)
-					} else {
-						child := t.childToward(id, r.leafID)
-						v = 2 * t.sliceVolumePerInstanceI(child, r.leafID, r.iix)
-					}
-					if v > best {
-						best = v
-					}
-				}
-			}
-			stage(grp.reads)
-			stage(grp.writes)
-			if d, ok := density[grp.tensor]; ok && d < 1 {
 				best = int64(float64(best) * d)
 			}
 			own += best

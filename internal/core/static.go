@@ -183,7 +183,8 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 		confine := t.confinements(g)
 		rel := confRelTable(t, confine)
 		rows := make([]int64, len(t.nodeSet)*spec.NumLevels())
-		fp := t.footprintInto(rows, spec.NumLevels(), rel, densityOf(g))
+		t.stampDensities(g)
+		fp := t.footprintInto(rows, spec.NumLevels(), rel, nil)
 		for l := 0; l < spec.DRAMLevel(); l++ {
 			if need, have := fp[l], spec.CapacityWords(l); need > have {
 				v := violation(RuleCapacity, &CapacityError{Level: l, LevelName: spec.Levels[l].Name, NeedWords: need, HaveWords: have})

@@ -264,15 +264,15 @@ type tree struct {
 	// ldim[i][k] is the interned dim id of nodeSet[i].Loops[k] (-1 when
 	// the dim is outside the structure's dim universe). It is the one
 	// tiling-dependent table the tree carries: the hot analysis loops
-	// compare these int32s instead of hashing dim strings. Recomputed by
-	// every rebind; rows share the ldimBuf backing so a steady-state
-	// re-bind allocates nothing.
+	// compare these int32s instead of hashing dim strings. Rows share the
+	// ldimBuf backing, each with room for 2×numDims loops beyond its
+	// current nest, so rewriting a row in place allocates nothing.
 	ldim    [][]int32
 	ldimBuf []int32
 	// ext[i][d]/sext[i][d] are the products of node i's loop extents over
 	// interned dim d — all loops and spatial loops respectively — the
 	// constant-time form of DimExtent/SpatialExtent the coverage walks
-	// read. Recomputed by setLdim on every rebind; rows share extBuf.
+	// read. Rows share extBuf.
 	ext, sext [][]int64
 	extBuf    []int64
 }
@@ -297,9 +297,10 @@ type structure struct {
 	// dimID interns every dimension name any operator declares to a dense
 	// id in [0, numDims), in first-leaf-declaration order. The hot
 	// analysis loops run on these ids (loop compares, mask tests) instead
-	// of string hashing.
-	dimID   map[string]int
-	numDims int
+	// of string hashing. dimNames[id] is the name of id.
+	dimID    map[string]int
+	dimNames []string
+	numDims  int
 	// dimMask is dims as a bitset over dim ids, per node.
 	dimMask [][]bool
 	// groups lists, per node, the tensors its subtree accesses with all
@@ -376,62 +377,98 @@ func internDims(t *tree) {
 		for _, d := range n.Op.Dims {
 			if _, ok := st.dimID[d.Name]; !ok {
 				st.dimID[d.Name] = st.numDims
+				st.dimNames = append(st.dimNames, d.Name)
 				st.numDims++
 			}
 		}
 	}
 }
 
-// setLdim recomputes the per-loop interned dim ids for the tree's current
-// nodeSet. Rows alias one flat backing buffer that is reused across
-// re-binds, so steady-state calls allocate nothing.
+// internDim is the interned id of a dim name, or -1 outside the universe.
+// A linear scan of the handful of names: the per-tiling paths compare a
+// few short strings instead of hashing one.
+func (st *structure) internDim(name string) int32 {
+	for id, d := range st.dimNames {
+		if d == name {
+			return int32(id)
+		}
+	}
+	return -1
+}
+
+// setLdim lays out and recomputes the per-loop interned dim ids and the
+// per-dim extent products for every node of the tree's current nodeSet.
+// The rows alias flat backing buffers that are reused across re-binds,
+// so steady-state calls allocate nothing.
 func (t *tree) setLdim() {
+	nn, nd := len(t.nodeSet), t.st.numDims
 	total := 0
 	for _, n := range t.nodeSet {
-		total += len(n.Loops)
+		total += len(n.Loops) + 2*nd
 	}
 	if cap(t.ldimBuf) < total {
 		t.ldimBuf = make([]int32, total)
 	}
 	buf := t.ldimBuf[:total]
-	if cap(t.ldim) < len(t.nodeSet) {
-		t.ldim = make([][]int32, 0, len(t.nodeSet))
+	if cap(t.ldim) < nn {
+		t.ldim = make([][]int32, nn)
 	}
-	t.ldim = t.ldim[:0]
-	nn, nd := len(t.nodeSet), t.st.numDims
+	t.ldim = t.ldim[:nn]
 	if cap(t.extBuf) < 2*nn*nd {
 		t.extBuf = make([]int64, 2*nn*nd)
 	}
 	ebuf := t.extBuf[:2*nn*nd]
-	for i := range ebuf {
-		ebuf[i] = 1
-	}
 	if cap(t.ext) < nn {
-		t.ext = make([][]int64, 0, nn)
-		t.sext = make([][]int64, 0, nn)
+		t.ext = make([][]int64, nn)
+		t.sext = make([][]int64, nn)
 	}
-	t.ext, t.sext = t.ext[:0], t.sext[:0]
+	t.ext, t.sext = t.ext[:nn], t.sext[:nn]
 	off := 0
 	for i, n := range t.nodeSet {
-		row := buf[off : off+len(n.Loops) : off+len(n.Loops)]
-		off += len(n.Loops)
-		erow := ebuf[i*nd : (i+1)*nd : (i+1)*nd]
-		srow := ebuf[(nn+i)*nd : (nn+i+1)*nd : (nn+i+1)*nd]
-		for li, l := range n.Loops {
-			if id, ok := t.st.dimID[l.Dim]; ok {
-				row[li] = int32(id)
-				erow[id] *= int64(l.Extent)
-				if l.Kind == Spatial {
-					srow[id] *= int64(l.Extent)
-				}
-			} else {
-				row[li] = -1
+		c := len(n.Loops) + 2*nd
+		t.ldim[i] = buf[off : off : off+c]
+		off += c
+		t.ext[i] = ebuf[i*nd : (i+1)*nd : (i+1)*nd]
+		t.sext[i] = ebuf[(nn+i)*nd : (nn+i+1)*nd : (nn+i+1)*nd]
+		t.setRow(i)
+	}
+}
+
+// setRows recomputes the rows of the nodes marked in dirty, in place: the
+// delta path's form of setLdim, valid when every other row still matches
+// its node's loops.
+func (t *tree) setRows(dirty []bool) {
+	for i, d := range dirty {
+		if d {
+			t.setRow(i)
+		}
+	}
+}
+
+// setRow recomputes node i's ldim, ext and sext rows from its loops. A
+// row grows out of its reserved room only for a nest longer than any the
+// layout saw, the one case that allocates.
+func (t *tree) setRow(i int) {
+	n := t.nodeSet[i]
+	row := t.ldim[i][:0]
+	if cap(row) < len(n.Loops) {
+		row = make([]int32, 0, len(n.Loops)+2*t.st.numDims)
+	}
+	erow, srow := t.ext[i], t.sext[i]
+	for d := range erow {
+		erow[d], srow[d] = 1, 1
+	}
+	for _, l := range n.Loops {
+		id := t.st.internDim(l.Dim)
+		row = append(row, id)
+		if id >= 0 {
+			erow[id] *= int64(l.Extent)
+			if l.Kind == Spatial {
+				srow[id] *= int64(l.Extent)
 			}
 		}
-		t.ldim = append(t.ldim, row)
-		t.ext = append(t.ext, erow)
-		t.sext = append(t.sext, srow)
 	}
+	t.ldim[i] = row
 }
 
 // rebind builds the tree view of newRoot reusing t's compiled structure
@@ -443,16 +480,19 @@ func (t *tree) setLdim() {
 // allocations regardless of tree size.
 func (t *tree) rebind(newRoot *Node) (*tree, error) {
 	nt := &tree{}
-	if err := t.rebindInto(nt, newRoot); err != nil {
+	if err := t.rebindNodes(nt, newRoot); err != nil {
 		return nil, err
 	}
+	nt.setLdim()
 	return nt, nil
 }
 
-// rebindInto is rebind writing into a caller-owned tree view, reusing its
-// nodeSet backing array. It is what makes the delta evaluation path
-// allocation-free: one view is re-filled per candidate.
-func (t *tree) rebindInto(nt *tree, newRoot *Node) error {
+// rebindNodes fills a caller-owned tree view's nodeSet with newRoot's
+// nodes, reusing its backing array, after checking them against the
+// compiled structure. The view's rows are left to the caller: rebind lays
+// them out afresh, the delta path rewrites only the dirty ones. One view
+// re-filled per candidate is what keeps the delta path allocation-free.
+func (t *tree) rebindNodes(nt *tree, newRoot *Node) error {
 	nt.root = newRoot
 	nt.id = nil
 	nt.st = t.st
@@ -463,7 +503,6 @@ func (t *tree) rebindInto(nt *tree, newRoot *Node) error {
 	if err := t.rebindWalk(nt, newRoot); err != nil {
 		return &structureError{err: err}
 	}
-	nt.setLdim()
 	return nil
 }
 

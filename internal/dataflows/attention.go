@@ -29,29 +29,32 @@ type fusedAttention struct {
 	binding   core.Binding
 	fuseLV    bool
 
-	// prepOnce/prep lazily cache every factor-independent derivation Build
-	// needs (dim sizes, core/sub splits, factor keys, the fused operator
-	// list and its mesh budget), so the mapper's per-candidate Build does
-	// no graph scans or string concatenation. One Dataflow is shared across
-	// the GA's parallel fitness workers, hence the Once.
+	// prepOnce/prep lazily cache every factor-independent derivation Bind
+	// needs (dim sizes, core/sub splits, factor slots, the fused operator
+	// list and its mesh budget), so the mapper's per-candidate Bind does no
+	// graph scans or string concatenation. One Dataflow may be shared
+	// across goroutines, hence the Once.
 	prepOnce sync.Once
 	prep     *attnPrep
 }
 
-// attnPrep is the factor-independent precomputation behind Build.
+// attnPrep is the factor-independent precomputation behind Bind.
 type attnPrep struct {
+	specs          []FactorSpec // Factors(), for the slot keys
 	cd, sd         string
 	cdSize, sdSize int
 	cloud          bool
-	size           map[string]int // graph dim name -> size
-	tKeys          []string       // "t_"+outer[i], parallel to outer
-	outerSizes     []int          // dim size of outer[i]
+	dims           []workload.Dim // every graph dim with its graph-wide size
+	outerSizes     []int          // dim size of outer[i]; outer[i] is slot i
 	hasM           bool           // hasOuter("m")
 	mSize          int
-	stageSizes     []int // dim size of stageDims[i]
-	fusedOps       []*workload.Operator
+	// Factor-vector slots of sp_c, sp_s and u_m (-1 when absent).
+	spcSlot, spsSlot, umSlot int
+	stageSizes               []int // dim size of stageDims[i]
+	fusedOps                 []*workload.Operator
+	lv                       *workload.Operator
 	// leafRed[i] is fusedOps[i]'s is-reduction mask parallel to its Dims,
-	// fed to leafLoops so per-candidate builds skip the recomputation.
+	// fed to AppendLeafLoops so per-candidate binds skip the recomputation.
 	leafRed [][]bool
 	budget  int
 }
@@ -60,25 +63,34 @@ type attnPrep struct {
 func (d *fusedAttention) prepare() *attnPrep {
 	d.prepOnce.Do(func() {
 		p := &attnPrep{
-			cd:    d.coreDim(),
-			sd:    d.subDim(),
-			cloud: d.cloud(),
-			size:  map[string]int{},
-			hasM:  d.hasOuter("m"),
+			specs:   d.Factors(),
+			cd:      d.coreDim(),
+			sd:      d.subDim(),
+			cloud:   d.cloud(),
+			hasM:    d.hasOuter("m"),
+			spcSlot: -1,
+			spsSlot: -1,
+			umSlot:  -1,
+			lv:      d.g.Op("LV"),
 		}
-		for _, dim := range d.g.AllDims() {
-			// DimSize, not dim.Size: the graph-wide maximum is what every
-			// d.dimSize call this cache replaces returned.
-			p.size[dim.Name] = d.g.DimSize(dim.Name)
+		for i, f := range p.specs {
+			switch f.Key {
+			case "sp_c":
+				p.spcSlot = i
+			case "sp_s":
+				p.spsSlot = i
+			case "u_m":
+				p.umSlot = i
+			}
 		}
-		p.cdSize, p.sdSize = p.size[p.cd], p.size[p.sd]
-		p.mSize = p.size["m"]
+		p.dims = d.g.AllDims()
+		p.cdSize, p.sdSize = p.sizeOf(p.cd), p.sizeOf(p.sd)
+		p.mSize = p.sizeOf("m")
 		for _, dim := range d.outer {
-			p.tKeys = append(p.tKeys, "t_"+dim)
-			p.outerSizes = append(p.outerSizes, p.size[dim])
+			p.outerSizes = append(p.outerSizes, p.sizeOf(dim))
 		}
 		for _, dim := range d.stageDims {
-			p.stageSizes = append(p.stageSizes, p.size[dim])
+			p.stageSizes = append(p.stageSizes, p.sizeOf(dim))
 		}
 		fused := []string{"QK", "RowMax", "Sub", "Exp", "RowSum", "Div"}
 		if d.fuseLV {
@@ -97,6 +109,17 @@ func (d *fusedAttention) prepare() *attnPrep {
 		d.prep = p
 	})
 	return d.prep
+}
+
+// sizeOf is the graph-wide size of dim (0 for a dim the graph lacks), by a
+// linear scan of the handful of dims rather than a map lookup.
+func (p *attnPrep) sizeOf(dim string) int {
+	for _, d := range p.dims {
+		if d.Name == dim {
+			return d.Size
+		}
+	}
+	return 0
 }
 
 // Attention dataflow constructors (Table 5). The granularity ladder follows
@@ -284,7 +307,13 @@ func (d *fusedAttention) DefaultFactors() map[string]int {
 	return f
 }
 
-// Build implements Dataflow, assembling the tree:
+// Build implements Dataflow: Bind of the map's factor vector into a fresh
+// tree.
+func (d *fusedAttention) Build(f map[string]int) (*core.Node, error) {
+	return d.Bind(nil, FactorVector(d.prepare().specs, f))
+}
+
+// Bind implements Binder, assembling the tree:
 //
 //	root@DRAM {Sp(coreDim)}                       — spatial split only
 //	  [Cloud: mid@L2 {T(granularity loops)}]      — L2 staging granularity
@@ -298,54 +327,47 @@ func (d *fusedAttention) DefaultFactors() map[string]int {
 // rows there would defeat the staging the dataflow exists to provide. On
 // Edge they all sit at the L1 stage; on Cloud they sit at the L2 mid node
 // with u_m refining the L1 staging.
-func (d *fusedAttention) Build(f map[string]int) (*core.Node, error) {
+func (d *fusedAttention) Bind(root *core.Node, f []int) (*core.Node, error) {
 	pp := d.prepare()
-	r := &factorReader{f: f}
-	spec := d.spec
+	r := factorReader{f: f, specs: pp.specs}
 
 	// Per-dim products of all outer factors.
-	var opDims [8]string
-	var opProd [8]int
-	outerProd := &outerProds{dims: opDims[:0], prod: opProd[:0]}
+	outerProd := &outerProds{}
 	mul := outerProd.mul
-	var rootSp, granT, stageSp, stageT []placed
+	var granBuf, stageBuf [8]placed
+	granT, stageT := granBuf[:0], stageBuf[:0]
 
 	cd, sd := pp.cd, pp.sd
+	spC, spS := 1, 1
 	if cd != "" {
-		v := r.get("sp_c", pp.cdSize)
-		if v > 1 {
-			rootSp = append(rootSp, placed{cd, v})
-		}
-		mul(cd, v)
+		spC = r.get(pp.spcSlot, pp.cdSize)
+		mul(cd, spC)
 	}
 	if pp.cloud && sd != "" {
-		v := r.get("sp_s", pp.sdSize)
-		if v > 1 {
-			stageSp = append(stageSp, placed{sd, v})
-		}
-		mul(sd, v)
+		spS = r.get(pp.spsSlot, pp.sdSize)
+		mul(sd, spS)
 	}
 	for i, dim := range d.outer {
-		v := r.get(pp.tKeys[i], pp.outerSizes[i])
+		v := r.get(i, pp.outerSizes[i])
 		if v > 1 {
 			granT = append(granT, placed{dim, v})
 		}
 		mul(dim, v)
 	}
 	if pp.cloud && pp.hasM {
-		v := r.get("u_m", pp.mSize)
+		v := r.get(pp.umSlot, pp.mSize)
 		if v > 1 {
 			stageT = append(stageT, placed{"m", v})
 		}
 		mul("m", v)
 	}
-	if err := r.err(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
 	// Divisibility of the combined products.
-	for di, dim := range outerProd.dims {
-		if p := outerProd.prod[di]; pp.size[dim]%p != 0 {
-			return nil, fmt.Errorf("dataflow %s: outer factors %d do not divide %s=%d", d.name, p, dim, pp.size[dim])
+	for di, dim := range outerProd.dims[:outerProd.n] {
+		if p, sz := outerProd.prod[di], pp.sizeOf(dim); sz%p != 0 {
+			return nil, fmt.Errorf("dataflow %s: outer factors %d do not divide %s=%d", d.name, p, dim, sz)
 		}
 	}
 
@@ -365,131 +387,133 @@ func (d *fusedAttention) Build(f map[string]int) (*core.Node, error) {
 			mul(dim, e)
 		}
 	}
-	// On Edge there is no L2 node: the granularity loops fold into the
-	// stage node itself.
-	if !pp.cloud {
-		stageT = append(granT, stageT...)
-		granT = nil
-	}
 
-	// Leaves for the fused stage.
-	budget := pp.budget
-	stageKids := make([]*core.Node, 0, len(pp.fusedOps))
-	for oi, op := range pp.fusedOps {
-		leaf, err := d.buildLeaf(op, outerProd, budget, pp.leafRed[oi])
-		if err != nil {
-			return nil, err
-		}
-		stageKids = append(stageKids, leaf)
+	if root == nil {
+		root = d.newTree(pp)
 	}
-	var stageLoops []core.Loop
-	for _, p := range stageSp {
-		stageLoops = append(stageLoops, core.S(p.dim, p.ext))
+	root.Loops = root.Loops[:0]
+	if spC > 1 {
+		root.Loops = append(root.Loops, core.S(cd, spC))
 	}
-	for _, p := range stageT {
-		stageLoops = append(stageLoops, core.T(p.dim, p.ext))
-	}
-	stage := core.Tile("stage", 1, d.binding, stageLoops, stageKids...)
-
-	// Subtree under the root: optionally wrapped in the Cloud L2 node
-	// carrying the coarse granularity loops.
-	var body *core.Node = stage
+	// On Cloud the granularity loops sit at the L2 mid node; on Edge there
+	// is no L2 node and they fold into the stage node itself.
+	stage := root.Children[0]
+	var stageGran []placed
 	if pp.cloud {
-		var loops []core.Loop
-		for _, p := range granT {
-			loops = append(loops, core.T(p.dim, p.ext))
-		}
-		body = core.Tile("mid", 2, core.Seq, loops, stage)
+		mid := stage
+		mid.Loops = appendPlaced(mid.Loops[:0], granT, nil)
+		stage = mid.Children[0]
+	} else {
+		stageGran = granT
 	}
+	stage.Loops = stage.Loops[:0]
+	if spS > 1 {
+		stage.Loops = append(stage.Loops, core.S(sd, spS))
+	}
+	stage.Loops = appendPlaced(appendPlaced(stage.Loops, stageGran, nil), stageT, nil)
 
-	children := []*core.Node{body}
-	rootBinding := core.Seq
-	if !d.fuseLV {
-		lv, err := d.buildUnfusedLV(outerProd, granT, stageSp, stageT)
-		if err != nil {
+	for oi, op := range pp.fusedOps {
+		if err := d.bindLeaf(stage.Children[oi], op, outerProd, pp.budget, pp.leafRed[oi]); err != nil {
 			return nil, err
 		}
-		children = append(children, lv)
 	}
 
-	var rootLoops []core.Loop
-	for _, p := range rootSp {
-		rootLoops = append(rootLoops, core.S(p.dim, p.ext))
+	// The unfused L×V subtree (Uni-pipe, Chimera): the softmax output L
+	// then travels through DRAM. L×V shares the outer factors over its own
+	// dims (b, h, m, l; n is untiled outside), and its staging loops mirror
+	// the fused side's over those dims so both root children tile their
+	// shared dims identically.
+	if !d.fuseLV {
+		op := pp.lv
+		lvStage := root.Children[1]
+		if pp.cloud {
+			lvMid := lvStage
+			lvMid.Loops = appendPlaced(lvMid.Loops[:0], granT, op)
+			lvStage = lvMid.Children[0]
+		}
+		lvStage.Loops = lvStage.Loops[:0]
+		if spS > 1 && op.HasDim(sd) {
+			lvStage.Loops = append(lvStage.Loops, core.S(sd, spS))
+		}
+		lvStage.Loops = appendPlaced(appendPlaced(lvStage.Loops, stageGran, op), stageT, op)
+		lvOuter := &outerProds{}
+		for _, dim := range op.Dims {
+			if v := outerProd.of(dim.Name); v > 1 {
+				lvOuter.mul(dim.Name, v)
+			}
+		}
+		if err := d.bindLeaf(lvStage.Children[0], op, lvOuter, 0, nil); err != nil {
+			return nil, err
+		}
 	}
-	root := core.Tile("root", spec.DRAMLevel(), rootBinding, rootLoops, children...)
-	root.Name = d.name
 	return root, nil
 }
 
-// Canonical spatial preferences per attention stage: Q×K maps (m,l) to the
-// array, L×V maps (m,n), and the softmax operators map l onto the vector
-// lanes. Package-level so the per-candidate Build path allocates none.
+// newTree builds the template's node tree with empty loop nests sized for
+// every assignment, for Bind to fill.
+func (d *fusedAttention) newTree(pp *attnPrep) *core.Node {
+	stageCap := 2 + len(d.outer) + len(d.stageDims)
+	kids := make([]*core.Node, len(pp.fusedOps))
+	for i, op := range pp.fusedOps {
+		kids[i] = newLeaf(op)
+	}
+	body := core.Tile("stage", 1, d.binding, make([]core.Loop, 0, stageCap), kids...)
+	if pp.cloud {
+		body = core.Tile("mid", 2, core.Seq, make([]core.Loop, 0, len(d.outer)), body)
+	}
+	children := []*core.Node{body}
+	if !d.fuseLV {
+		lv := core.Tile("lv-stage", 1, core.Seq, make([]core.Loop, 0, stageCap), newLeaf(pp.lv))
+		if pp.cloud {
+			lv = core.Tile("lv-mid", 2, core.Seq, make([]core.Loop, 0, len(d.outer)), lv)
+		}
+		children = append(children, lv)
+	}
+	root := core.Tile("root", d.spec.DRAMLevel(), core.Seq, make([]core.Loop, 0, 1), children...)
+	root.Name = d.name
+	return root
+}
+
+// appendPlaced appends a temporal loop per placed entry, keeping only the
+// dims op iterates when op is non-nil (factor-1 entries never reach here).
+func appendPlaced(dst []core.Loop, ps []placed, op *workload.Operator) []core.Loop {
+	for _, p := range ps {
+		if op == nil || op.HasDim(p.dim) {
+			dst = append(dst, core.T(p.dim, p.ext))
+		}
+	}
+	return dst
+}
+
+// attentionLeafSpatial gives the canonical spatial preferences per
+// attention stage: Q×K maps (m,l) to the array, L×V maps (m,n), and the
+// softmax operators map l onto the vector lanes. The slices are shared, so
+// the per-candidate bind path allocates none.
+func attentionLeafSpatial(op *workload.Operator) []string {
+	switch op.Name {
+	case "QK":
+		return spatialQK
+	case "LV":
+		return spatialLV
+	default:
+		return spatialSoftmax
+	}
+}
+
 var (
 	spatialQK      = []string{"m", "l"}
 	spatialLV      = []string{"m", "n"}
 	spatialSoftmax = []string{"l"}
 )
 
-// buildLeaf constructs one operator's leaf with the canonical spatial dims
-// per stage.
-func (d *fusedAttention) buildLeaf(op *workload.Operator, outer *outerProds, budget int, red []bool) (*core.Node, error) {
+// bindLeaf rewrites one operator's leaf loops for the outer factors above
+// it, with the canonical spatial dims per stage.
+func (d *fusedAttention) bindLeaf(leaf *core.Node, op *workload.Operator, outer *outerProds, budget int, red []bool) error {
 	var remBuf [8]int
 	rem, err := remaining(remBuf[:0], op, outer)
 	if err != nil {
-		return nil, fmt.Errorf("dataflow %s, op %s: %w", d.name, op.Name, err)
+		return fmt.Errorf("dataflow %s, op %s: %w", d.name, op.Name, err)
 	}
-	var spatial []string
-	switch op.Name {
-	case "QK":
-		spatial = spatialQK
-	case "LV":
-		spatial = spatialLV
-	default:
-		spatial = spatialSoftmax
-	}
-	return core.Leaf(op.Name, op, leafLoops(op, d.spec, rem, spatial, budget, red)...), nil
-}
-
-// buildUnfusedLV gives L×V its own subtree when it is outside the fusion
-// (Uni-pipe, Chimera): the softmax output L then travels through DRAM. The
-// subtree mirrors the Cloud mid node's loops over L×V's own dimensions so
-// both root children tile their shared dims identically.
-func (d *fusedAttention) buildUnfusedLV(outer *outerProds, granT, stageSp, stageT []placed) (*core.Node, error) {
-	op := d.g.Op("LV")
-	// L×V shares the outer factors for its own dims (b, h, m, l); n is
-	// untiled outside. The subtree mirrors the fused side's staging loops
-	// over those dims so both root children tile their shared dims
-	// identically.
-	lvOuter := &outerProds{}
-	for _, dim := range op.DimNames() {
-		if v := outer.of(dim); v > 1 {
-			lvOuter.mul(dim, v)
-		}
-	}
-	var lvStageLoops []core.Loop
-	for _, p := range stageSp {
-		if op.HasDim(p.dim) && p.ext > 1 {
-			lvStageLoops = append(lvStageLoops, core.S(p.dim, p.ext))
-		}
-	}
-	for _, p := range stageT {
-		if op.HasDim(p.dim) && p.ext > 1 {
-			lvStageLoops = append(lvStageLoops, core.T(p.dim, p.ext))
-		}
-	}
-	leaf, err := d.buildLeaf(op, lvOuter, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	node := core.Tile("lv-stage", 1, core.Seq, lvStageLoops, leaf)
-	if d.cloud() {
-		var loops []core.Loop
-		for _, p := range granT {
-			if op.HasDim(p.dim) && p.ext > 1 {
-				loops = append(loops, core.T(p.dim, p.ext))
-			}
-		}
-		return core.Tile("lv-mid", 2, core.Seq, loops, node), nil
-	}
-	return node, nil
+	leaf.Loops = AppendLeafLoops(leaf.Loops[:0], op, d.spec, rem, attentionLeafSpatial(op), budget, 0, 0, red)
+	return nil
 }

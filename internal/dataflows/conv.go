@@ -21,6 +21,7 @@ type fusedConv struct {
 	g       *workload.Graph
 	outer   []string // dims tiled at the outer level (subset of h, w, l)
 	binding core.Binding
+	specs   specCache
 }
 
 // FusedLayer fuses the two convolutions with the height and width
@@ -99,69 +100,80 @@ func (d *fusedConv) DefaultFactors() map[string]int {
 	return f
 }
 
+// Build implements Dataflow: Bind of the map's factor vector into a fresh
+// tree.
 func (d *fusedConv) Build(f map[string]int) (*core.Node, error) {
-	r := &factorReader{f: f}
-	var opDims [8]string
-	var opProd [8]int
-	outerProd := &outerProds{dims: opDims[:0], prod: opProd[:0]}
-	mul := outerProd.mul
-	var granT []placed
+	return d.Bind(nil, FactorVector(d.specs.get(d), f))
+}
+
+// Bind implements Binder. Convolution parallelism comes from the channel
+// dimensions mapped spatially at the leaves (spanning sub-cores up to the
+// aggregate array); height/width tiling provides on-chip staging only.
+// Granularity loops stay on chip: at the L2 mid node on Cloud, at the L1
+// stage on Edge (see the attention template for the rationale).
+func (d *fusedConv) Bind(root *core.Node, f []int) (*core.Node, error) {
+	r := factorReader{f: f, specs: d.specs.get(d)}
+	outerProd := &outerProds{}
+	var granBuf [8]placed
+	granT := granBuf[:0]
 	cloud := d.spec.NumLevels() >= 4
-	// Convolution parallelism comes from the channel dimensions mapped
-	// spatially at the leaves (spanning sub-cores up to the aggregate
-	// array); height/width tiling provides on-chip staging only.
-	// Granularity loops stay on chip: at the L2 mid node on Cloud, at the
-	// L1 stage on Edge (see the attention template for the rationale).
-	for _, dim := range d.outer {
-		v := r.get("t_"+dim, d.g.DimSize(dim))
+	for i, dim := range d.outer {
+		v := r.get(i, d.g.DimSize(dim))
 		if v > 1 {
 			granT = append(granT, placed{dim, v})
 		}
-		mul(dim, v)
+		outerProd.mul(dim, v)
 	}
-	if err := r.err(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
-	for di, dim := range outerProd.dims {
+	for di, dim := range outerProd.dims[:outerProd.n] {
 		if p := outerProd.prod[di]; d.g.DimSize(dim)%p != 0 {
 			return nil, fmt.Errorf("dataflow %s: outer factors %d do not divide %s=%d", d.name, p, dim, d.g.DimSize(dim))
 		}
 	}
 
+	if root == nil {
+		root = d.newTree(cloud)
+	}
+	// The granularity loops go to the L2 mid node on Cloud, else to the
+	// stage.
+	stage := root.Children[0]
+	stage.Loops = appendPlaced(stage.Loops[:0], granT, nil)
+	if cloud {
+		stage = stage.Children[0] // below mid
+		stage.Loops = stage.Loops[:0]
+	}
 	aggX, aggY := d.spec.AggregateMesh()
-	var kids []*core.Node
+	budget := aggX * aggY
+	if d.binding.Spatial() {
+		// Concurrent stages partition the aggregate array; each claims
+		// its channel extents, which by construction fit side by side
+		// (the array edges bound each factor).
+		budget = aggX * aggY / len(d.g.Ops)
+	}
 	var remBuf [8]int
-	for _, op := range d.g.Ops {
+	for i, op := range d.g.Ops {
 		rem, err := remaining(remBuf[:0], op, outerProd)
 		if err != nil {
 			return nil, fmt.Errorf("dataflow %s, op %s: %w", d.name, op.Name, err)
 		}
-		budget := aggX * aggY
-		if d.binding.Spatial() {
-			// Concurrent stages partition the aggregate array; each
-			// claims its channel extents, which by construction fit
-			// side by side (the array edges bound each factor).
-			budget = aggX * aggY / len(d.g.Ops)
-		}
-		leaf := core.Leaf(op.Name, op,
-			leafLoopsCapped(op, d.spec, rem, convLeafSpatial(op), budget, aggX, aggY, nil)...)
-		kids = append(kids, leaf)
+		leaf := stage.Children[i]
+		leaf.Loops = AppendLeafLoops(leaf.Loops[:0], op, d.spec, rem, convLeafSpatial(op), budget, aggX, aggY, nil)
 	}
-	var stageLoops []core.Loop
-	if !cloud {
-		for _, p := range granT {
-			stageLoops = append(stageLoops, core.T(p.dim, p.ext))
-		}
-	}
-	stage := core.Tile("stage", 1, d.binding, stageLoops, kids...)
+	return root, nil
+}
 
-	var body *core.Node = stage
-	if cloud {
-		var midLoops []core.Loop
-		for _, p := range granT {
-			midLoops = append(midLoops, core.T(p.dim, p.ext))
-		}
-		body = core.Tile("mid", 2, core.Seq, midLoops, stage)
+// newTree builds the chain's node tree with empty loop nests, for Bind to
+// fill.
+func (d *fusedConv) newTree(cloud bool) *core.Node {
+	kids := make([]*core.Node, len(d.g.Ops))
+	for i, op := range d.g.Ops {
+		kids[i] = newLeaf(op)
 	}
-	return core.Tile(d.name, d.spec.DRAMLevel(), core.Seq, nil, body), nil
+	body := core.Tile("stage", 1, d.binding, make([]core.Loop, 0, len(d.outer)), kids...)
+	if cloud {
+		body = core.Tile("mid", 2, core.Seq, make([]core.Loop, 0, len(d.outer)), body)
+	}
+	return core.Tile(d.name, d.spec.DRAMLevel(), core.Seq, nil, body)
 }

@@ -14,6 +14,7 @@ package dataflows
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -117,54 +118,105 @@ func DivisorNear(n, target int) int {
 	return best
 }
 
-// factorReader reads factors with divisibility validation.
-type factorReader struct {
-	f    map[string]int
-	errs []error
+// Binder is an optional Dataflow capability: binding a dense factor
+// vector onto a tree instead of building one from a factor map. f is
+// parallel to Factors(); a value <= 0 reads as 1, as a missing map key
+// does. Bind(nil, f) returns a fresh tree. Bind(root, f), with root a tree
+// an earlier Bind of the same dataflow returned, rewrites every node's
+// loop nest in place, reusing slice capacity, and returns root: no map
+// lookups, and no string formatting or allocation unless it rejects the
+// vector. Bind accepts and rejects exactly the assignments whose map form
+// Build does, with Build's error text. After a rejection the content of
+// root is unspecified but its structure is intact, so it can be bound
+// again. DefaultFactors of a Binder uses only Factors keys, so its vector
+// form binds the same tree Build gives.
+//
+// Concurrent Binds on distinct roots are safe; one root belongs to one
+// goroutine at a time.
+type Binder interface {
+	Bind(root *core.Node, f []int) (*core.Node, error)
 }
 
-func (r *factorReader) get(key string, total int) int {
-	v, ok := r.f[key]
-	if !ok || v <= 0 {
-		v = 1
+// FactorVector lays out a factor map as the dense vector parallel to specs
+// that Binder.Bind takes. Keys outside specs are dropped; a missing key
+// becomes 0, which Bind reads as 1.
+func FactorVector(specs []FactorSpec, f map[string]int) []int {
+	v := make([]int, len(specs))
+	for i, s := range specs {
+		v[i] = f[s.Key]
 	}
+	return v
+}
+
+// factorReader reads factor-vector slots with divisibility validation,
+// keeping the first error. A value <= 0 reads as 1, as does a failed read.
+type factorReader struct {
+	f     []int
+	specs []FactorSpec // parallel to f, for the error's key
+	err   error
+}
+
+func (r *factorReader) get(slot, total int) int {
+	v := max(1, r.f[slot])
 	if total%v != 0 {
-		r.errs = append(r.errs, fmt.Errorf("factor %s=%d does not divide %d", key, v, total))
+		if r.err == nil {
+			r.err = fmt.Errorf("factor %s=%d does not divide %d", r.specs[slot].Key, v, total)
+		}
 		return 1
 	}
 	return v
 }
 
-func (r *factorReader) err() error {
-	if len(r.errs) == 0 {
-		return nil
-	}
-	return r.errs[0]
+// specCache lazily caches a template's Factors() for the bind path, which
+// reads the keys only to format an error. One Dataflow may be shared
+// across goroutines, hence the Once.
+type specCache struct {
+	once  sync.Once
+	specs []FactorSpec
+}
+
+func (c *specCache) get(df Dataflow) []FactorSpec {
+	c.once.Do(func() { c.specs = df.Factors() })
+	return c.specs
+}
+
+// newLeaf builds a leaf for op with an empty loop nest able to hold any
+// nest AppendLeafLoops writes: a temporal loop per dim plus two spatial.
+func newLeaf(op *workload.Operator) *core.Node {
+	return core.Leaf(op.Name, op, make([]core.Loop, 0, len(op.Dims)+2)...)
 }
 
 // outerProds accumulates the per-dim products of outer tiling factors. A
-// template touches a handful of dims per build, so a linear assoc list
-// beats a map on the mapper's per-candidate path; of() returns 0 for a dim
-// never multiplied, matching the map-lookup miss it replaced.
+// template touches a handful of dims per bind, so a linear assoc list in
+// fixed arrays beats a map and stays on the caller's stack; of() returns
+// 0 for a dim never multiplied, matching the map-lookup miss it replaced.
 type outerProds struct {
-	dims []string
-	prod []int
+	n    int
+	dims [maxOuterDims]string
+	prod [maxOuterDims]int
 }
 
+// maxOuterDims bounds the distinct dims one outerProds tracks: more than
+// any workload graph the templates schedule declares.
+const maxOuterDims = 16
+
 func (o *outerProds) mul(dim string, v int) {
-	for i, d := range o.dims {
-		if d == dim {
+	for i := 0; i < o.n; i++ {
+		if o.dims[i] == dim {
 			o.prod[i] *= v
 			return
 		}
 	}
-	o.dims = append(o.dims, dim)
-	o.prod = append(o.prod, v)
+	if o.n == maxOuterDims {
+		panic("dataflows: more than 16 outer-tiled dims")
+	}
+	o.dims[o.n], o.prod[o.n] = dim, v
+	o.n++
 }
 
 func (o *outerProds) of(dim string) int {
-	for i, d := range o.dims {
-		if d == dim {
+	for i := 0; i < o.n; i++ {
+		if o.dims[i] == dim {
 			return o.prod[i]
 		}
 	}
@@ -182,24 +234,19 @@ func dimIndex(op *workload.Operator, dim string) int {
 	return -1
 }
 
-// leafLoops picks the loops for a leaf with the sub-core mesh as the
-// spatial bound: it splits up to two dimensions of the remaining extents
+// AppendLeafLoops appends the loop nest of a leaf to dst and returns the
+// extended slice. It splits up to two dimensions of the remaining extents
 // across the available lanes (the PE mesh for MAC operators, the vector
 // unit width for the rest), capped by peBudget so that pipelined stages
-// share the array, returning the loops in canonical order (temporal loops
-// first with reductions innermost, then spatial). rem holds the remaining
-// extents positionally parallel to op.Dims. peBudget <= 0 means the whole
-// mesh. red, when non-nil, is op's precomputed is-reduction mask parallel
-// to op.Dims (templates that build the same leaves per candidate cache it);
-// nil recomputes it.
-func leafLoops(op *workload.Operator, spec *arch.Spec, rem []int, spatialDims []string, peBudget int, red []bool) []core.Loop {
-	return leafLoopsCapped(op, spec, rem, spatialDims, peBudget, spec.MeshX, spec.MeshY, red)
-}
-
-// leafLoopsCapped is leafLoops with explicit per-dimension spatial caps,
-// for mappings whose spatial extent spans sub-cores (convolution channel
-// mappings bounded by the aggregate array edges).
-func leafLoopsCapped(op *workload.Operator, spec *arch.Spec, rem []int, spatialDims []string, peBudget, capX, capY int, red []bool) []core.Loop {
+// share the array, in canonical order: temporal loops first with
+// reductions innermost, then spatial. rem holds the remaining extents
+// positionally parallel to op.Dims. peBudget <= 0 means the whole mesh;
+// capX/capY bound the two spatial splits (<= 0 means the sub-core mesh
+// edge; convolution channel mappings pass the aggregate array edges).
+// red, when non-nil, is op's is-reduction mask parallel to op.Dims
+// (binders cache it per leaf); nil recomputes it. Pass a leaf's own
+// Loops[:0] as dst to rewrite its nest without allocating.
+func AppendLeafLoops(dst []core.Loop, op *workload.Operator, spec *arch.Spec, rem []int, spatialDims []string, peBudget, capX, capY int, red []bool) []core.Loop {
 	meshX, meshY := capX, capY
 	if meshX <= 0 {
 		meshX = spec.MeshX
@@ -269,7 +316,7 @@ func leafLoopsCapped(op *workload.Operator, spec *arch.Spec, rem []int, spatialD
 			red[i] = op.IsReduction(d.Name)
 		}
 	}
-	loops := make([]core.Loop, 0, len(op.Dims)+2)
+	loops := dst
 	for pass := 0; pass < 2; pass++ {
 		wantRed := pass == 1
 		for i, d := range op.Dims {

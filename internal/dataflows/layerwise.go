@@ -24,6 +24,7 @@ type layerwise struct {
 	// of one sub-core mesh (the convolution channel mapping), with no
 	// core/sub-core splits.
 	aggregate bool
+	specs     specCache
 }
 
 // LayerwiseAttention is the Layerwise baseline for self-attention.
@@ -46,26 +47,20 @@ func LayerwiseConv(s workload.ConvChainShape, spec *arch.Spec) Dataflow {
 	}
 }
 
-func attentionLeafSpatial(op *workload.Operator) []string {
-	switch op.Name {
-	case "QK":
-		return []string{"m", "l"}
-	case "LV":
-		return []string{"m", "n"}
-	default:
-		return []string{"l"}
-	}
-}
-
 // convLeafSpatial maps the channel dimensions onto the PE array (output
 // channels × input channels), the standard spatial mapping for convolution
 // engines; height/width parallelism lives at the core/sub-core splits.
 func convLeafSpatial(op *workload.Operator) []string {
 	if op.HasDim("l") && !op.IsReduction("l") {
-		return []string{"l", "c"}
+		return spatialConvOut
 	}
-	return []string{"e", "l"}
+	return spatialConvIn
 }
+
+var (
+	spatialConvOut = []string{"l", "c"}
+	spatialConvIn  = []string{"e", "l"}
+)
 
 func (d *layerwise) Name() string           { return d.name }
 func (d *layerwise) Graph() *workload.Graph { return d.g }
@@ -100,45 +95,68 @@ func (d *layerwise) DefaultFactors() map[string]int {
 	return f
 }
 
+// Build implements Dataflow: Bind of the map's factor vector into a fresh
+// tree.
 func (d *layerwise) Build(f map[string]int) (*core.Node, error) {
-	r := &factorReader{f: f}
-	spC := 1
+	return d.Bind(nil, FactorVector(d.specs.get(d), f))
+}
+
+// Bind implements Binder. The factor slots follow Factors: t, then sp_c
+// and sp_s when present.
+func (d *layerwise) Bind(root *core.Node, f []int) (*core.Node, error) {
+	r := factorReader{f: f, specs: d.specs.get(d)}
+	cloud := d.spec.NumLevels() >= 4
+	spC, spsSlot := 1, 1
 	if d.coreDim != "" {
-		spC = r.get("sp_c", d.g.DimSize(d.coreDim))
+		spC = r.get(1, d.g.DimSize(d.coreDim))
+		spsSlot = 2
 	}
-	t := r.get("t", d.g.DimSize(d.chunkDim))
+	t := r.get(0, d.g.DimSize(d.chunkDim))
 	spS := 1
-	if d.subDim != "" && d.spec.NumLevels() >= 4 {
-		spS = r.get("sp_s", d.g.DimSize(d.subDim))
+	if d.subDim != "" && cloud {
+		spS = r.get(spsSlot, d.g.DimSize(d.subDim))
 	}
-	if err := r.err(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
-	var kids []*core.Node
-	for _, op := range d.g.Ops {
-		sub, err := d.opSubtree(op, spC, spS, t)
-		if err != nil {
+	if root == nil {
+		root = d.newTree(cloud)
+	}
+	for i, op := range d.g.Ops {
+		if err := d.bindOp(root.Children[i], op, spC, spS, t, cloud); err != nil {
 			return nil, err
 		}
-		kids = append(kids, sub)
 	}
-	root := core.Tile(d.name, d.spec.DRAMLevel(), core.Seq, nil, kids...)
 	return root, nil
 }
 
-// opSubtree maps one operator onto the whole accelerator: an outer on-chip
-// node carrying the spatial core split and the temporal chunking, then (on
-// Cloud) an L1 node with the sub-core split, then the leaf.
-func (d *layerwise) opSubtree(op *workload.Operator, spC, spS, t int) (*core.Node, error) {
-	var oDims [4]string
-	var oProd [4]int
-	outer := &outerProds{dims: oDims[:0], prod: oProd[:0]}
-	var topLoops, midLoops []core.Loop
+// newTree builds one subtree per operator with empty loop nests: an outer
+// on-chip node carrying the spatial core split and the temporal chunking,
+// then (on Cloud) an L1 node with the sub-core split, then the leaf.
+func (d *layerwise) newTree(cloud bool) *core.Node {
+	kids := make([]*core.Node, len(d.g.Ops))
+	for i, op := range d.g.Ops {
+		leaf := newLeaf(op)
+		if cloud {
+			l1 := core.Tile(op.Name+"@L1", 1, core.Seq, make([]core.Loop, 0, 1), leaf)
+			kids[i] = core.Tile(op.Name+"@L2", 2, core.Seq, make([]core.Loop, 0, 2), l1)
+		} else {
+			kids[i] = core.Tile(op.Name+"@L1", 1, core.Seq, make([]core.Loop, 0, 2), leaf)
+		}
+	}
+	return core.Tile(d.name, d.spec.DRAMLevel(), core.Seq, nil, kids...)
+}
+
+// bindOp maps one operator onto the whole accelerator, rewriting the loops
+// of its subtree (top node, Cloud L1 node, leaf).
+func (d *layerwise) bindOp(top *core.Node, op *workload.Operator, spC, spS, t int, cloud bool) error {
+	outer := &outerProds{}
+	top.Loops = top.Loops[:0]
 	if d.coreDim != "" && op.HasDim(d.coreDim) && spC > 1 {
 		if op.DimSize(d.coreDim)%spC != 0 {
-			return nil, fmt.Errorf("layerwise %s: sp_c=%d does not divide %s", op.Name, spC, d.coreDim)
+			return fmt.Errorf("layerwise %s: sp_c=%d does not divide %s", op.Name, spC, d.coreDim)
 		}
-		topLoops = append(topLoops, core.S(d.coreDim, spC))
+		top.Loops = append(top.Loops, core.S(d.coreDim, spC))
 		outer.mul(d.coreDim, spC)
 	}
 	if op.HasDim(d.chunkDim) && t > 1 {
@@ -147,38 +165,38 @@ func (d *layerwise) opSubtree(op *workload.Operator, spC, spS, t int) (*core.Nod
 			prev = 1
 		}
 		if op.DimSize(d.chunkDim)%(prev*t) != 0 {
-			return nil, fmt.Errorf("layerwise %s: t=%d does not divide %s", op.Name, t, d.chunkDim)
+			return fmt.Errorf("layerwise %s: t=%d does not divide %s", op.Name, t, d.chunkDim)
 		}
-		topLoops = append(topLoops, core.T(d.chunkDim, t))
+		top.Loops = append(top.Loops, core.T(d.chunkDim, t))
 		outer.mul(d.chunkDim, t)
 	}
-	cloud := d.spec.NumLevels() >= 4
-	if cloud && d.subDim != "" && op.HasDim(d.subDim) && spS > 1 {
-		prev := outer.of(d.subDim)
-		if prev == 0 {
-			prev = 1
+	leafParent := top
+	if cloud {
+		leafParent = top.Children[0]
+		leafParent.Loops = leafParent.Loops[:0]
+		if d.subDim != "" && op.HasDim(d.subDim) && spS > 1 {
+			prev := outer.of(d.subDim)
+			if prev == 0 {
+				prev = 1
+			}
+			if op.DimSize(d.subDim)%(prev*spS) != 0 {
+				return fmt.Errorf("layerwise %s: sp_s=%d does not divide %s", op.Name, spS, d.subDim)
+			}
+			leafParent.Loops = append(leafParent.Loops, core.S(d.subDim, spS))
+			outer.mul(d.subDim, spS)
 		}
-		if op.DimSize(d.subDim)%(prev*spS) != 0 {
-			return nil, fmt.Errorf("layerwise %s: sp_s=%d does not divide %s", op.Name, spS, d.subDim)
-		}
-		midLoops = append(midLoops, core.S(d.subDim, spS))
-		outer.mul(d.subDim, spS)
 	}
 	var remBuf [8]int
 	rem, err := remaining(remBuf[:0], op, outer)
 	if err != nil {
-		return nil, fmt.Errorf("layerwise %s: %w", op.Name, err)
+		return fmt.Errorf("layerwise %s: %w", op.Name, err)
 	}
-	var leaf *core.Node
+	leaf := leafParent.Children[0]
 	if d.aggregate {
 		aggX, aggY := d.spec.AggregateMesh()
-		leaf = core.Leaf(op.Name, op, leafLoopsCapped(op, d.spec, rem, d.spatialOf(op), aggX*aggY, aggX, aggY, nil)...)
+		leaf.Loops = AppendLeafLoops(leaf.Loops[:0], op, d.spec, rem, d.spatialOf(op), aggX*aggY, aggX, aggY, nil)
 	} else {
-		leaf = core.Leaf(op.Name, op, leafLoops(op, d.spec, rem, d.spatialOf(op), 0, nil)...)
+		leaf.Loops = AppendLeafLoops(leaf.Loops[:0], op, d.spec, rem, d.spatialOf(op), 0, 0, 0, nil)
 	}
-	if cloud {
-		l1 := core.Tile(op.Name+"@L1", 1, core.Seq, midLoops, leaf)
-		return core.Tile(op.Name+"@L2", 2, core.Seq, topLoops, l1), nil
-	}
-	return core.Tile(op.Name+"@L1", 1, core.Seq, topLoops, leaf), nil
+	return nil
 }

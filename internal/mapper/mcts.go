@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -55,14 +56,22 @@ type TileSearch struct {
 	// carries the incremental re-evaluation state across rollouts —
 	// successive MCTS candidates differ by a handful of factors, so most of
 	// the tree's analysis is replayed from the cache instead of recomputed.
-	prog  *core.Program
-	delta *core.DeltaState
+	// bound is the one tree a Binder template's candidates are bound into.
+	// All three belong to compiledDF and compiledSpec; a run with another
+	// Dataflow or Spec drops them.
+	prog         *core.Program
+	delta        *core.DeltaState
+	bound        *core.Node
+	compiledDF   dataflows.Dataflow
+	compiledSpec *arch.Spec
 
 	// Reusable per-round buffers (one RunContext at a time per TileSearch,
-	// which prog/delta already require).
+	// which prog/delta already require). vec is a Binder's factor vector,
+	// factors a Build-only template's factor map.
 	selBuf  []int
 	pathBuf []*mctsNode
 	assign  []int
+	vec     []int
 	factors map[string]int
 }
 
@@ -95,10 +104,20 @@ func (s *TileSearch) Run() (*Evaluation, []float64) {
 // RunContext is Run with cancellation: the search stops at the next round
 // boundary once ctx is done and returns the best evaluation found so far
 // (MCTS is an anytime algorithm), so callers can budget wall time.
+//
+// A Binder template's candidates are decoded into one reused factor
+// vector and bound into one tree per search; a factor map is built only
+// for a new best-so-far. Other templates build a tree per candidate from
+// a factor map.
 func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if !sameDataflow(s.compiledDF, s.Dataflow) || s.compiledSpec != s.Spec {
+		s.prog, s.delta, s.bound = nil, nil, nil
+		s.compiledDF, s.compiledSpec = s.Dataflow, s.Spec
+	}
+	binder, _ := s.Dataflow.(dataflows.Binder)
 	specs := s.Dataflow.Factors()
 	rounds := s.Rounds
 	if rounds <= 0 {
@@ -127,6 +146,13 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 			}
 		}
 	}
+	if cap(s.vec) < len(specs) {
+		s.vec = make([]int, len(specs))
+	}
+	s.vec = s.vec[:len(specs)]
+	if binder == nil && s.factors == nil {
+		s.factors = make(map[string]int, len(specs))
+	}
 
 	root := newMctsNode()
 	var best *Evaluation
@@ -137,15 +163,15 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 
 	// Seed with the template's default factors so the search never
 	// returns something worse than the untuned mapping.
-	if ev := s.evaluate(ctx, s.Dataflow.DefaultFactors()); ev != nil {
-		ev.Result = ev.Result.Clone() // detach from the delta arena
-		best = ev
-		worst = ev.Cycles
+	def := s.Dataflow.DefaultFactors()
+	for i, f := range specs {
+		s.vec[i] = def[f.Key]
+	}
+	if res := s.evaluate(ctx, binder, def); res != nil {
+		best = &Evaluation{Factors: def, Cycles: res.Cycles, Result: res.Clone()}
+		worst = res.Cycles
 	}
 
-	if s.factors == nil {
-		s.factors = make(map[string]int, len(specs))
-	}
 	for r := 0; r < rounds; r++ {
 		if ctx.Err() != nil {
 			break
@@ -177,27 +203,30 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 			assign = append(assign, rng.Intn(len(choices[d])))
 		}
 		s.pathBuf, s.assign = path, assign
-		factors := s.factors
-		clear(factors)
-		for i, f := range specs {
-			factors[f.Key] = choices[i][assign[i]]
-		}
-		ev := s.evaluate(ctx, factors)
-		reward := 0.0
-		if ev != nil {
-			if ev.Cycles > worst {
-				worst = ev.Cycles
+		if binder != nil {
+			for i := range specs {
+				s.vec[i] = choices[i][assign[i]]
 			}
-			reward = 1.0 / (1.0 + ev.Cycles/math.Max(1, worst))
-			if best == nil || ev.Cycles < best.Cycles {
-				ev.Result = ev.Result.Clone() // detach from the delta arena
-				// Detach the factor map too: the rollout buffer is reused
-				// next round.
-				ev.Factors = make(map[string]int, len(factors))
-				for k, v := range factors {
-					ev.Factors[k] = v
+		} else {
+			clear(s.factors)
+			for i, f := range specs {
+				s.factors[f.Key] = choices[i][assign[i]]
+			}
+		}
+		res := s.evaluate(ctx, binder, s.factors)
+		reward := 0.0
+		if res != nil {
+			if res.Cycles > worst {
+				worst = res.Cycles
+			}
+			reward = 1.0 / (1.0 + res.Cycles/math.Max(1, worst))
+			if best == nil || res.Cycles < best.Cycles {
+				// Detach from the delta arena and the reused buffers.
+				f := make(map[string]int, len(specs))
+				for i, spec := range specs {
+					f[spec.Key] = choices[i][assign[i]]
 				}
-				best = ev
+				best = &Evaluation{Factors: f, Cycles: res.Cycles, Result: res.Clone()}
 			}
 		}
 		for _, n := range path {
@@ -211,6 +240,13 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 		}
 	}
 	return best, trace
+}
+
+// sameDataflow reports whether a and b are one template value. A template
+// whose dynamic type is not comparable always counts as a new one.
+func sameDataflow(a, b dataflows.Dataflow) bool {
+	ta := reflect.TypeOf(a)
+	return ta != nil && ta == reflect.TypeOf(b) && ta.Comparable() && a == b
 }
 
 // selectChild applies UCB1 over the expanded children, preferring an
@@ -243,12 +279,20 @@ func (s *TileSearch) selectChild(n *mctsNode, choices []int, explore float64, rn
 	return bestIdx
 }
 
-// evaluate builds and evaluates one factor assignment. The returned
-// Evaluation's Result aliases the search's delta arena and is valid only
-// until the next rollout; RunContext clones it when it becomes the
-// best-so-far.
-func (s *TileSearch) evaluate(ctx context.Context, factors map[string]int) *Evaluation {
-	root, err := s.Dataflow.Build(factors)
+// evaluate binds (through b, from s.vec) or builds (from factors) one
+// candidate and evaluates it, returning nil for an invalid one. The
+// Result aliases the search's delta arena and is valid only until the
+// next candidate; RunContext clones it when it becomes the best-so-far.
+func (s *TileSearch) evaluate(ctx context.Context, b dataflows.Binder, factors map[string]int) *core.Result {
+	var root *core.Node
+	var err error
+	if b != nil {
+		if root, err = b.Bind(s.bound, s.vec); err == nil {
+			s.bound = root
+		}
+	} else {
+		root, err = s.Dataflow.Build(factors)
+	}
 	if err != nil {
 		return nil
 	}
@@ -256,7 +300,7 @@ func (s *TileSearch) evaluate(ctx context.Context, factors map[string]int) *Eval
 	if err != nil {
 		return nil
 	}
-	return &Evaluation{Factors: factors, Cycles: res.Cycles, Result: res}
+	return res
 }
 
 // evaluateTree evaluates one candidate tree. The template is compiled once

@@ -175,3 +175,38 @@ func TestTileSearchRecompilesOnShapeChange(t *testing.T) {
 		t.Errorf("search compiled %d times, want %d (once per structure change)", compiles, want)
 	}
 }
+
+// TestTileSearchRerunDropsStaleState: a TileSearch run again after its Spec
+// or Dataflow changed must not evaluate against the program, delta state
+// or bound tree of the previous run; it must equal a fresh search.
+func TestTileSearchRerunDropsStaleState(t *testing.T) {
+	vit, _ := workload.AttentionShapeByName("ViT/16-B")
+	bert, _ := workload.AttentionShapeByName("Bert-S")
+	spec := arch.Edge()
+	slow := spec.Clone()
+	slow.Levels[slow.DRAMLevel()].BandwidthGBs = 8
+	df := dataflows.TileFlowAttention(vit, spec)
+	for _, tc := range []struct {
+		name string
+		df   dataflows.Dataflow
+		spec *arch.Spec
+	}{
+		{"spec", df, slow},
+		{"dataflow", dataflows.TileFlowAttention(bert, spec), spec},
+	} {
+		reused := &TileSearch{Dataflow: df, Spec: spec, Rounds: 50, Seed: 3}
+		if best, _ := reused.Run(); best == nil {
+			t.Fatal("no valid mapping")
+		}
+		reused.Dataflow, reused.Spec = tc.df, tc.spec
+		got, gotTrace := reused.Run()
+		fresh := &TileSearch{Dataflow: tc.df, Spec: tc.spec, Rounds: 50, Seed: 3}
+		want, wantTrace := fresh.Run()
+		if got == nil || want == nil {
+			t.Fatalf("%s: no valid mapping (reused %v, fresh %v)", tc.name, got, want)
+		}
+		if got.Cycles != want.Cycles || !reflect.DeepEqual(got.Factors, want.Factors) || !reflect.DeepEqual(gotTrace, wantTrace) {
+			t.Errorf("%s changed: reused search %v cycles, fresh search %v cycles", tc.name, got.Cycles, want.Cycles)
+		}
+	}
+}

@@ -2,8 +2,8 @@ package mapper
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -119,6 +119,14 @@ type GeneratedDataflow struct {
 	SubDim     string
 	// LeafSpatial picks leaf spatial dims per op.
 	LeafSpatial func(op *workload.Operator) []string
+
+	// prepOnce/prep hold the factor-independent setup Bind reads, made on
+	// first use: the repaired encoding's tree skeleton, each node's
+	// potential loops as factor-vector slots, and each leaf's ancestor
+	// loops, spatial dims and PE budget. The exported fields must not
+	// change after the first Factors-dependent call.
+	prepOnce sync.Once
+	prep     *genPrep
 }
 
 // NewGeneratedDataflow builds the wrapper with sensible spatial choices for
@@ -172,8 +180,13 @@ func (d *GeneratedDataflow) Graph() *workload.Graph { return d.G }
 func (d *GeneratedDataflow) StructureStable() bool { return true }
 
 // Factors implements Dataflow: one factor per on-chip level per dimension
-// ("L<level>_<dim>"), plus the spatial splits.
+// ("L<level>_<dim>"), plus the spatial splits. The list is made once, by
+// the setup; each call returns a copy.
 func (d *GeneratedDataflow) Factors() []dataflows.FactorSpec {
+	return append([]dataflows.FactorSpec(nil), d.prepare().specs...)
+}
+
+func (d *GeneratedDataflow) factorSpecs() []dataflows.FactorSpec {
 	var fs []dataflows.FactorSpec
 	maxMem := d.Spec.NumLevels() - 2
 	dims := d.G.AllDims()
@@ -215,36 +228,134 @@ func (d *GeneratedDataflow) DefaultFactors() map[string]int {
 	return f
 }
 
-// chain is one operator's column of nodes during generation.
-type chain struct {
-	op    *workload.Operator
-	top   int // highest level of the op's own nodes
-	nodes map[int]*core.Node
-	leaf  *core.Node
+// Hidden factor slots of the spatial splits. Build reads sp_c and sp_s
+// from its map even when Factors omits them (a dimension of size 1, or
+// sp_s on a three-level Edge spec), so the bind path carries them beside
+// the vector rather than in it.
+const (
+	slotSpC = -1 - iota
+	slotSpS
+)
+
+// genLoop is one potential loop of a generated node: the node carries
+// Loop{dim, x, kind} when the factor x in slot is above 1 and divides size
+// (size 0: no check; the spatial splits are validated up front).
+type genLoop struct {
+	dim  string
+	kind core.LoopKind
+	slot int
+	size int
 }
 
-// Build implements Dataflow: it converts the encoding into an analysis tree
-// (Fig 7b) with the factor table as loops (Fig 7c).
-func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
+// genNode describes one node of the skeleton, in pre-order.
+type genNode struct {
+	loops []genLoop // interior nodes
+	leaf  int       // index into genPrep.leaves, or -1
+}
+
+// genLeaf is the factor-independent half of one operator's leaf.
+type genLeaf struct {
+	op *workload.Operator
+	// cover[k] lists the potential ancestor loops over op.Dims[k]: their
+	// product is the path factor the leaf's remaining extent divides by.
+	cover   [][]genLoop
+	spatial []string
+	red     []bool
+	// budget caps the leaf's PE share: MAC leaves running concurrently
+	// under a Para/Pipe ancestor share the array.
+	budget int
+	off    int // offset of the leaf's remaining extents in the bind buffer
+}
+
+// genPrep is GeneratedDataflow's one-time setup.
+type genPrep struct {
+	spec  *arch.Spec
+	specs []dataflows.FactorSpec
+	// err is the encoding/graph mismatch Build reports before anything
+	// else; lateErr a structural error it reports after validating the
+	// spatial splits.
+	err, lateErr     error
+	spcSlot, spsSlot int // -1 when Factors omits the split
+	spatialSize      int // G.DimSize(SpatialDim)
+	subSize          int // G.DimSize(SubDim)
+	skel             *core.Node
+	nodes            []genNode // parallel to skel's pre-order
+	leaves           []genLeaf // in graph operator order
+	remLen           int
+}
+
+// genVals is the value source of one bind: the factor vector plus the
+// spatial splits.
+type genVals struct {
+	f        []int
+	spC, spS int
+}
+
+// extent is the trip count gl contributes under v, or 1 when the loop is
+// absent.
+func (v *genVals) extent(gl genLoop) int {
+	var x int
+	switch gl.slot {
+	case slotSpC:
+		x = v.spC
+	case slotSpS:
+		x = v.spS
+	default:
+		x = v.f[gl.slot]
+	}
+	if x > 1 && (gl.size == 0 || gl.size%x == 0) {
+		return x
+	}
+	return 1
+}
+
+// prepare returns the setup, making it on first use. A Dataflow may be
+// shared across goroutines, hence the Once.
+func (d *GeneratedDataflow) prepare() *genPrep {
+	d.prepOnce.Do(func() { d.prep = d.setup() })
+	return d.prep
+}
+
+// setup converts the encoding into the tree skeleton (Fig 7b) and the
+// slot form of the factor table (Fig 7c).
+func (d *GeneratedDataflow) setup() *genPrep {
+	p := &genPrep{
+		spec:        d.Spec,
+		specs:       d.factorSpecs(),
+		spcSlot:     -1,
+		spsSlot:     -1,
+		spatialSize: d.G.DimSize(d.SpatialDim),
+		subSize:     d.G.DimSize(d.SubDim),
+	}
+	slot := make(map[string]int, len(p.specs))
+	for i, f := range p.specs {
+		slot[f.Key] = i
+	}
+	if i, ok := slot["sp_c"]; ok {
+		p.spcSlot = i
+	}
+	if i, ok := slot["sp_s"]; ok {
+		p.spsSlot = i
+	}
 	enc := d.Enc.Clone()
 	enc.Repair(d.Spec.NumLevels())
 	n := len(d.G.Ops)
 	if n != len(enc.Target) {
-		return nil, fmt.Errorf("mapper: encoding for %d ops, graph has %d", len(enc.Target), n)
+		p.err = fmt.Errorf("mapper: encoding for %d ops, graph has %d", len(enc.Target), n)
+		return p
 	}
 	maxMem := d.Spec.NumLevels() - 2
-
-	factor := func(level int, dim string) int {
-		v := f[fmt.Sprintf("L%d_%s", level, dim)]
-		if v <= 0 {
-			v = 1
-		}
-		return v
-	}
+	loopsOf := map[*core.Node][]genLoop{}
 
 	// Each op's chain spans levels [1, top] plus its leaf. Top-level ops
 	// span the full on-chip hierarchy; fused ops span below their fusion
-	// level.
+	// level. The sub-core spatial split goes on the innermost interior
+	// node of top-level chains.
+	type chain struct {
+		top   int // highest level of the op's own nodes
+		nodes map[int]*core.Node
+		leaf  *core.Node
+	}
 	chains := make([]*chain, n)
 	for i := n - 1; i >= 0; i-- {
 		op := d.G.Ops[i]
@@ -252,38 +363,29 @@ func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
 		if enc.Target[i] >= 0 {
 			top = enc.Mem[i] - 1
 		}
-		c := &chain{op: op, top: top, nodes: map[int]*core.Node{}}
+		c := &chain{top: top, nodes: map[int]*core.Node{}}
 		for l := top; l >= 1; l-- {
-			var loops []core.Loop
-			for _, dim := range op.DimNames() {
-				if v := factor(l, dim); v > 1 && op.DimSize(dim)%v == 0 {
-					loops = append(loops, core.T(dim, v))
+			var gl []genLoop
+			if enc.Target[i] < 0 && l == 1 && op.HasDim(d.SubDim) {
+				gl = append(gl, genLoop{dim: d.SubDim, kind: core.Spatial, slot: slotSpS})
+			}
+			for _, dim := range op.Dims {
+				if s, ok := slot[fmt.Sprintf("L%d_%s", l, dim.Name)]; ok {
+					gl = append(gl, genLoop{dim: dim.Name, kind: core.Temporal, slot: s, size: dim.Size})
 				}
 			}
-			c.nodes[l] = core.Tile(fmt.Sprintf("%s@L%d", op.Name, l), l, core.Seq, loops)
+			node := core.Tile(fmt.Sprintf("%s@L%d", op.Name, l), l, core.Seq, nil)
+			c.nodes[l] = node
+			loopsOf[node] = gl
+		}
+		for l := c.top; l > 1; l-- {
+			c.nodes[l].Children = []*core.Node{c.nodes[l-1]}
 		}
 		chains[i] = c
 	}
+	root := core.Tile(d.Label, d.Spec.DRAMLevel(), core.Seq, nil)
+	loopsOf[root] = []genLoop{{dim: d.SpatialDim, kind: core.Spatial, slot: slotSpC}}
 
-	// Root with the spatial splits.
-	var rootLoops []core.Loop
-	if v, ok := f["sp_c"]; ok && v > 1 {
-		if d.G.DimSize(d.SpatialDim)%v != 0 {
-			return nil, fmt.Errorf("mapper: sp_c=%d does not divide %s", v, d.SpatialDim)
-		}
-		rootLoops = append(rootLoops, core.S(d.SpatialDim, v))
-	}
-	spS := 1
-	if v, ok := f["sp_s"]; ok && v > 1 {
-		if d.G.DimSize(d.SubDim)%v != 0 {
-			return nil, fmt.Errorf("mapper: sp_s=%d does not divide %s", v, d.SubDim)
-		}
-		spS = v
-	}
-	root := core.Tile(d.Label, d.Spec.DRAMLevel(), core.Seq, rootLoops)
-
-	// Assemble: compute each leaf's remaining extents from the factors on
-	// its ancestor path, then attach chains.
 	attach := func(parent, child *core.Node, binding core.Binding, front bool) {
 		if front {
 			parent.Children = append([]*core.Node{child}, parent.Children...)
@@ -294,20 +396,6 @@ func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
 			parent.Binding = binding
 		}
 	}
-
-	// Wire chain interiors and leaves.
-	for i, c := range chains {
-		// Sub-core spatial split goes on the innermost interior node
-		// of top-level chains.
-		if enc.Target[i] < 0 && spS > 1 {
-			if node := c.nodes[1]; node != nil && c.op.HasDim(d.SubDim) {
-				node.Loops = append([]core.Loop{core.S(d.SubDim, spS)}, node.Loops...)
-			}
-		}
-		for l := c.top; l > 1; l-- {
-			c.nodes[l].Children = []*core.Node{c.nodes[l-1]}
-		}
-	}
 	// Attach fused chains to their hosts (reverse order keeps producer
 	// tiles before their consumers under the same host node).
 	for i := n - 1; i >= 0; i-- {
@@ -315,17 +403,15 @@ func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
 		if enc.Target[i] < 0 {
 			continue
 		}
-		host := chains[enc.Target[i]]
-		hostNode := host.nodes[enc.Mem[i]]
+		hostNode := chains[enc.Target[i]].nodes[enc.Mem[i]]
 		if hostNode == nil {
-			return nil, fmt.Errorf("mapper: op %d fused at level %d but host has no node there", i, enc.Mem[i])
+			p.lateErr = fmt.Errorf("mapper: op %d fused at level %d but host has no node there", i, enc.Mem[i])
+			return p
 		}
-		var sub *core.Node
-		if c.top >= 1 {
-			sub = c.nodes[c.top]
-		}
+		sub := c.nodes[c.top]
 		if sub == nil {
-			sub = d.placeholderLeaf(c)
+			c.leaf = core.Leaf(d.G.Ops[i].Name, d.G.Ops[i])
+			sub = c.leaf
 		}
 		attach(hostNode, sub, enc.Binding[i], true)
 	}
@@ -335,70 +421,47 @@ func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
 			attach(root, chains[i].nodes[chains[i].top], core.Seq, false)
 		}
 	}
-
-	// Now that the tree shape is final, compute leaf extents from the
-	// actual ancestor paths.
-	if err := d.fillLeaves(root, chains); err != nil {
-		return nil, err
-	}
-	return root, nil
-}
-
-// placeholderLeaf builds a leaf with loops to be filled in later.
-func (d *GeneratedDataflow) placeholderLeaf(c *chain) *core.Node {
-	c.leaf = core.Leaf(c.op.Name, c.op)
-	return c.leaf
-}
-
-// fillLeaves walks the final tree, computes every operator's remaining
-// per-dimension extents given its ancestors' loops, and writes the leaf
-// loop nests.
-func (d *GeneratedDataflow) fillLeaves(root *core.Node, chains []*chain) error {
-	// Ensure every chain interior ends in a leaf.
-	for _, c := range chains {
-		if c.leaf == nil {
-			c.leaf = core.Leaf(c.op.Name, c.op)
-			bottom := c.nodes[1]
-			if bottom == nil {
-				// Fused at level 1 with no interior: the leaf was
-				// already attached by placeholderLeaf... or the chain
-				// is top==0, impossible for top-level ops.
-				return fmt.Errorf("mapper: op %s chain has no interior node", c.op.Name)
-			}
-			bottom.Children = append(bottom.Children, c.leaf)
+	// Every chain interior ends in a leaf.
+	for i, c := range chains {
+		if c.leaf != nil {
+			continue
 		}
+		op := d.G.Ops[i]
+		bottom := c.nodes[1]
+		if bottom == nil {
+			// A top-level chain with no on-chip level to span.
+			p.lateErr = fmt.Errorf("mapper: op %s chain has no interior node", op.Name)
+			return p
+		}
+		c.leaf = core.Leaf(op.Name, op)
+		bottom.Children = append(bottom.Children, c.leaf)
 	}
-	// Parent map.
+
+	// With the shape final, derive each leaf's ancestor loops and budget.
 	parent := map[*core.Node]*core.Node{}
-	root.Walk(func(n *core.Node) {
-		for _, ch := range n.Children {
-			parent[ch] = n
+	leafIdx := map[*core.Node]int{}
+	root.Walk(func(m *core.Node) {
+		for _, ch := range m.Children {
+			parent[ch] = m
 		}
 	})
-	for _, c := range chains {
-		covered := map[string]int{}
-		for _, dim := range c.op.DimNames() {
-			covered[dim] = 1
-		}
-		for a := parent[c.leaf]; a != nil; a = parent[a] {
-			for _, l := range a.Loops {
-				if _, ok := covered[l.Dim]; ok {
-					covered[l.Dim] *= l.Extent
+	for i, c := range chains {
+		op := d.G.Ops[i]
+		leafIdx[c.leaf] = i
+		l := genLeaf{op: op, cover: make([][]genLoop, len(op.Dims)), spatial: d.LeafSpatial(op),
+			red: make([]bool, len(op.Dims)), budget: d.Spec.MeshX * d.Spec.MeshY, off: p.remLen}
+		p.remLen += len(op.Dims)
+		for k, dim := range op.Dims {
+			l.red[k] = op.IsReduction(dim.Name)
+			for a := parent[c.leaf]; a != nil; a = parent[a] {
+				for _, gl := range loopsOf[a] {
+					if gl.dim == dim.Name {
+						l.cover[k] = append(l.cover[k], gl)
+					}
 				}
 			}
 		}
-		rem := map[string]int{}
-		for _, dim := range c.op.Dims {
-			if dim.Size%covered[dim.Name] != 0 {
-				return fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d",
-					c.op.Name, dim.Name, covered[dim.Name], dim.Size)
-			}
-			rem[dim.Name] = dim.Size / covered[dim.Name]
-		}
-		// MAC leaves running concurrently under a Para/Pipe ancestor
-		// must share the PE array.
-		budget := d.Spec.MeshX * d.Spec.MeshY
-		if !c.op.Kind.Vector() {
+		if !op.Kind.Vector() {
 			for a := parent[c.leaf]; a != nil; a = parent[a] {
 				if a.Binding.Spatial() && len(a.Children) > 1 {
 					macs := 0
@@ -408,62 +471,127 @@ func (d *GeneratedDataflow) fillLeaves(root *core.Node, chains []*chain) error {
 						}
 					}
 					if macs > 1 {
-						budget = max(1, budget/macs)
+						l.budget = max(1, l.budget/macs)
 					}
 					break
 				}
 			}
 		}
-		c.leaf.Loops = leafLoopsFor(c.op, d.Spec, rem, d.LeafSpatial(c.op), budget)
+		p.leaves = append(p.leaves, l)
 	}
-	return nil
+	root.Walk(func(m *core.Node) {
+		if m.IsLeaf() {
+			p.nodes = append(p.nodes, genNode{leaf: leafIdx[m]})
+		} else {
+			p.nodes = append(p.nodes, genNode{loops: loopsOf[m], leaf: -1})
+		}
+	})
+	p.skel = root
+	return p
 }
 
-// leafLoopsFor mirrors the dataflows package's leaf construction: temporal
-// loops (reductions innermost) then spatial loops sized to the available
-// lanes.
-func leafLoopsFor(op *workload.Operator, spec *arch.Spec, rem map[string]int, spatialDims []string, budget int) []core.Loop {
-	var loops []core.Loop
-	spat := map[string]int{}
-	if op.Kind.Vector() {
-		if len(spatialDims) > 0 {
-			d := spatialDims[0]
-			spat[d] = dataflows.DivisorAtMost(rem[d], spec.VectorLanesPerSubcore)
+// Build implements Dataflow: Bind of the map's factor vector into a fresh
+// tree, with the spatial splits read from the map whether or not Factors
+// lists them.
+func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
+	p := d.prepare()
+	return d.bind(p, nil, dataflows.FactorVector(p.specs, f), max(1, f["sp_c"]), max(1, f["sp_s"]))
+}
+
+// Bind implements dataflows.Binder: it binds the factor table onto the
+// encoding's tree (Fig 7b) as loops (Fig 7c).
+func (d *GeneratedDataflow) Bind(root *core.Node, f []int) (*core.Node, error) {
+	p := d.prepare()
+	spC, spS := 1, 1
+	if p.spcSlot >= 0 {
+		spC = max(1, f[p.spcSlot])
+	}
+	if p.spsSlot >= 0 {
+		spS = max(1, f[p.spsSlot])
+	}
+	return d.bind(p, root, f, spC, spS)
+}
+
+func (d *GeneratedDataflow) bind(p *genPrep, root *core.Node, f []int, spC, spS int) (*core.Node, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	if spC > 1 && p.spatialSize%spC != 0 {
+		return nil, fmt.Errorf("mapper: sp_c=%d does not divide %s", spC, d.SpatialDim)
+	}
+	if spS > 1 && p.subSize%spS != 0 {
+		return nil, fmt.Errorf("mapper: sp_s=%d does not divide %s", spS, d.SubDim)
+	}
+	if p.lateErr != nil {
+		return nil, p.lateErr
+	}
+	v := genVals{f: f, spC: spC, spS: spS}
+	// Every leaf's remaining extents, validated in operator order before
+	// any loop is written.
+	var remBuf [64]int
+	rem := remBuf[:0]
+	if p.remLen > len(remBuf) {
+		rem = make([]int, 0, p.remLen)
+	}
+	for i := range p.leaves {
+		l := &p.leaves[i]
+		for k, dim := range l.op.Dims {
+			cov := 1
+			for _, gl := range l.cover[k] {
+				cov *= v.extent(gl)
+			}
+			if dim.Size%cov != 0 {
+				return nil, fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d",
+					l.op.Name, dim.Name, cov, dim.Size)
+			}
+			rem = append(rem, dim.Size/cov)
 		}
+	}
+	next := 0
+	if root == nil {
+		root = p.clone(p.skel, &next)
+		next = 0
+	}
+	p.fill(root, &next, &v, rem)
+	return root, nil
+}
+
+// clone copies the skeleton with loop nests sized for every assignment.
+func (p *genPrep) clone(n *core.Node, next *int) *core.Node {
+	gn := &p.nodes[*next]
+	*next++
+	c := *n
+	if gn.leaf >= 0 {
+		c.Loops = make([]core.Loop, 0, len(n.Op.Dims)+2)
 	} else {
-		used := 1
-		if len(spatialDims) > 0 {
-			d := spatialDims[0]
-			spat[d] = dataflows.DivisorAtMost(rem[d], min(spec.MeshX, budget))
-			used = spat[d]
-		}
-		if len(spatialDims) > 1 {
-			d := spatialDims[1]
-			spat[d] = dataflows.DivisorAtMost(rem[d], min(spec.MeshY, max(1, budget/used)))
+		c.Loops = make([]core.Loop, 0, len(gn.loops))
+	}
+	if len(n.Children) > 0 {
+		c.Children = make([]*core.Node, len(n.Children))
+		for i, ch := range n.Children {
+			c.Children[i] = p.clone(ch, next)
 		}
 	}
-	dims := append([]workload.Dim(nil), op.Dims...)
-	sort.SliceStable(dims, func(i, j int) bool {
-		ri, rj := op.IsReduction(dims[i].Name), op.IsReduction(dims[j].Name)
-		return !ri && rj
-	})
-	for _, dim := range dims {
-		e := rem[dim.Name]
-		if e <= 0 {
-			e = 1
-		}
-		s := spat[dim.Name]
-		if s < 1 {
-			s = 1
-		}
-		if t := e / s; t > 1 {
-			loops = append(loops, core.T(dim.Name, t))
+	return &c
+}
+
+// fill rewrites the loop nests of the subtree at n in place, n being the
+// skeleton node with pre-order id *next.
+func (p *genPrep) fill(n *core.Node, next *int, v *genVals, rem []int) {
+	gn := &p.nodes[*next]
+	*next++
+	if gn.leaf >= 0 {
+		l := &p.leaves[gn.leaf]
+		n.Loops = dataflows.AppendLeafLoops(n.Loops[:0], l.op, p.spec, rem[l.off:l.off+len(l.op.Dims)], l.spatial, l.budget, 0, 0, l.red)
+		return
+	}
+	n.Loops = n.Loops[:0]
+	for _, gl := range gn.loops {
+		if x := v.extent(gl); x > 1 {
+			n.Loops = append(n.Loops, core.Loop{Dim: gl.dim, Extent: x, Kind: gl.kind})
 		}
 	}
-	for _, dim := range dims {
-		if s := spat[dim.Name]; s > 1 {
-			loops = append(loops, core.S(dim.Name, s))
-		}
+	for _, c := range n.Children {
+		p.fill(c, next, v, rem)
 	}
-	return loops
 }
