@@ -14,48 +14,37 @@ type iterm struct {
 	coef int64
 }
 
-// internAccess interns an access's index expression against the
-// structure's dim universe.
-func internAccess(st *structure, acc workload.Access) [][]iterm {
-	out := make([][]iterm, len(acc.Index))
+// internAccessInto interns an access's index expression against the
+// structure's dim universe, carving its rows from caller-owned flat
+// buffers, which must have room for the access. It returns the interned
+// access and the buffers' unused remainders.
+func internAccessInto(st *structure, acc workload.Access, rows [][]iterm, terms []iterm) ([][]iterm, [][]iterm, []iterm) {
+	iix := rows[:len(acc.Index):len(acc.Index)]
 	for i, ix := range acc.Index {
-		terms := make([]iterm, len(ix.Terms))
+		row := terms[:len(ix.Terms):len(ix.Terms)]
+		terms = terms[len(ix.Terms):]
 		for j, term := range ix.Terms {
-			d := int32(-1)
-			if id, ok := st.dimID[term.Dim]; ok {
-				d = int32(id)
-			}
-			terms[j] = iterm{dim: d, coef: int64(term.Coef)}
+			row[j] = iterm{dim: st.internDim(term.Dim), coef: int64(term.Coef)}
 		}
-		out[i] = terms
+		iix[i] = row
 	}
-	return out
+	return iix, rows[len(acc.Index):], terms
 }
 
-// dimMaskOf converts a dim-name set to a mask over interned ids. Names
-// outside the universe are dropped: they can never match a valid loop dim,
-// so the mask tests are equivalent to the map lookups they replace.
-func dimMaskOf(st *structure, dims map[string]bool) []bool {
-	m := make([]bool, st.numDims)
-	for d := range dims {
-		if id, ok := st.dimID[d]; ok {
-			m[id] = true
-		}
+// numTerms counts the affine terms of an access's index expression.
+func numTerms(acc workload.Access) int {
+	n := 0
+	for _, ix := range acc.Index {
+		n += len(ix.Terms)
 	}
-	return m
+	return n
 }
 
-// sliceExtentsInto computes the per-tensor-dimension slice extents of an
-// access at node n (along the path to leaf), per Sec 5.1.1: for each
-// dimension the extent e−b stays constant over time steps and equals
+// sliceExtentsIntoI computes the per-tensor-dimension slice extents of an
+// interned access at node n (along the path to leaf), per Sec 5.1.1: for
+// each dimension the extent e−b stays constant over time steps and equals
 // 1 + Σ coef·(stepCov(dim)−1) over the affine terms of the index expression.
-// The result is written into dst, which must have len(acc.Index) capacity.
-// This string-keyed form interns on the fly for cold callers and tests;
-// the hot paths hold precomputed iterms and call sliceExtentsIntoI.
-func (t *tree) sliceExtentsInto(dst []int64, n, leaf int, acc workload.Access) []int64 {
-	return t.sliceExtentsIntoI(dst, n, leaf, internAccess(t.st, acc))
-}
-
+// The result is written into dst, which must have len(iix) capacity.
 func (t *tree) sliceExtentsIntoI(dst []int64, n, leaf int, iix [][]iterm) []int64 {
 	dst = dst[:len(iix)]
 	for i, terms := range iix {
@@ -71,12 +60,8 @@ func (t *tree) sliceExtentsIntoI(dst []int64, n, leaf int, iix [][]iterm) []int6
 	return dst
 }
 
-// sliceVolume is the product of the slice extents: the size in words of the
-// data slice one time step of node n touches for this access.
-func (t *tree) sliceVolume(n, leaf int, acc workload.Access) int64 {
-	return t.sliceVolumeI(n, leaf, internAccess(t.st, acc))
-}
-
+// sliceVolumeI is the product of the slice extents: the size in words of
+// the data slice one time step of node n touches for this access.
 func (t *tree) sliceVolumeI(n, leaf int, iix [][]iterm) int64 {
 	v := int64(1)
 	for _, terms := range iix {
@@ -149,46 +134,11 @@ func (t *tree) coveredVolumeI(n, leaf int, iix [][]iterm) int64 {
 	return v
 }
 
-// temporalLoops lists node n's temporal loops outermost first.
-func temporalLoops(n *Node) []Loop {
-	return temporalLoopsInto(nil, n)
-}
-
-// temporalLoopsInto is temporalLoops appending into a caller-owned buffer.
-func temporalLoopsInto(dst []Loop, n *Node) []Loop {
-	for _, l := range n.Loops {
-		if l.Kind == Temporal {
-			dst = append(dst, l)
-		}
-	}
-	return dst
-}
-
-// stridesInto computes, for each temporal loop of n (outer..inner), the
+// stridesIntoI computes, for each temporal loop of n (outer..inner), the
 // number of elements of its dimension that one advance of that loop shifts
 // the slice window by: the step coverage of the dimension times the extents
-// of any inner temporal loops over the same dimension at this node. Results
-// are appended into dst.
-func (t *tree) stridesInto(dst []int64, n, leaf int, tloops []Loop) []int64 {
-	for k, lk := range tloops {
-		s := int64(t.stepCov(n, leaf, lk.Dim))
-		for j := k + 1; j < len(tloops); j++ {
-			if tloops[j].Dim == lk.Dim {
-				s *= int64(tloops[j].Extent)
-			}
-		}
-		dst = append(dst, s)
-	}
-	return dst
-}
-
-// strides is stridesInto with a fresh result slice (tests and cold paths).
-func (t *tree) strides(n, leaf int, tloops []Loop) []int64 {
-	return t.stridesInto(make([]int64, 0, len(tloops)), n, leaf, tloops)
-}
-
-// stridesIntoI is stridesInto on interned dim ids: tldims[k] is the interned
-// dim of tloops[k].
+// of any inner temporal loops over the same dimension at this node.
+// tldims[k] is the interned dim of tloops[k]; results are appended into dst.
 func (t *tree) stridesIntoI(dst []int64, n, leaf int, tloops []Loop, tldims []int32) []int64 {
 	for k := range tloops {
 		s := int64(t.stepCovID(n, leaf, tldims[k]))
@@ -202,9 +152,9 @@ func (t *tree) stridesIntoI(dst []int64, n, leaf int, tloops []Loop, tldims []in
 	return dst
 }
 
-// perExecDM implements the single-tile data-movement formula of Sec 5.1.1:
+// perExecDMI implements the single-tile data-movement formula of Sec 5.1.1:
 // the total volume moved across the node's upper boundary during one
-// complete execution of node n for the given access. It equals the
+// complete execution of node n for the given interned access. It equals the
 // compulsory full slice plus, for every temporal-loop boundary t_k, the
 // slice set-difference when loop k advances one chunk and all loops inner
 // to it reset, weighted by how often that boundary occurs:
@@ -222,13 +172,7 @@ func (t *tree) stridesIntoI(dst []int64, n, leaf int, tloops []Loop, tldims []in
 // the model matches the polyhedron baselines on single operators.)
 //
 // All intermediate vectors live in the evaluator's scratch arena, so
-// steady-state calls allocate nothing. This string-keyed form interns the
-// access on the fly for tests and cold callers; the hot paths hold the
-// precomputed iterms and call perExecDMI.
-func (e *evaluator) perExecDM(n, leaf int, acc workload.Access, retain bool) float64 {
-	return e.perExecDMI(n, leaf, internAccess(e.t.st, acc), retain)
-}
-
+// steady-state calls allocate nothing.
 func (e *evaluator) perExecDMI(n, leaf int, iix [][]iterm, retain bool) float64 {
 	t, s := e.t, e.s
 	if cap(s.exts) < len(iix) {
@@ -310,16 +254,15 @@ func (e *evaluator) perExecDMI(n, leaf int, iix [][]iterm, retain bool) float64 
 	return total
 }
 
-// accessRef is one (leaf, access) occurrence of a tensor in a subtree, with
-// the access's iteration-dim set precomputed. The leaf is identified by its
-// pre-order id so the reference stays valid across tiling re-binds. iix and
-// mask are the interned forms of acc.Index and dims, shared read-only by
-// every node's group that folds this reference in.
+// accessRef is one (leaf, access) occurrence of a tensor in a subtree. The
+// leaf is identified by its pre-order id so the reference stays valid
+// across tiling re-binds. iix and mask are the interned forms of acc.Index
+// and of the access's iteration dims, shared read-only by every node's
+// group that folds this reference in.
 type accessRef struct {
 	leafID int
 	op     *workload.Operator
 	acc    workload.Access
-	dims   map[string]bool
 	iix    [][]iterm
 	mask   []bool
 	// maxWords bounds coveredVolumePerInstance over all valid tilings:
@@ -355,21 +298,19 @@ func accessMaxWords(op *workload.Operator, acc workload.Access) int64 {
 
 // tensorGroup aggregates every access to one tensor by operators in a
 // node's subtree, split by direction, with the per-direction invocation dim
-// sets and the Seq-eviction verdict precomputed at compile time.
+// masks and the Seq-eviction verdict precomputed at compile time.
 type tensorGroup struct {
 	tensor string
 	reads  []accessRef
 	writes []accessRef
-	// readDims is the union of the read accesses' iteration dims: ancestor
-	// loops over other dims leave the staged slices unchanged, so only
-	// these dims multiply fill invocations.
-	readDims map[string]bool
-	// writeDims additionally includes the writers' reduction dims, which
+	// readMask is the union of the read accesses' iteration dims, as a
+	// mask over interned dim ids: ancestor loops over other dims leave the
+	// staged slices unchanged, so only these dims multiply fill
+	// invocations.
+	readMask []bool
+	// writeMask additionally includes the writers' reduction dims, which
 	// force partial-sum round trips.
-	writeDims map[string]bool
-	// readMask/writeMask are readDims/writeDims as masks over interned dim
-	// ids, the form the hot invocation counting consumes.
-	readMask, writeMask []bool
+	writeMask []bool
 	// tensorID indexes the Program's attributed-tensor list (the scratch
 	// arena's flat per-tensor rows), or -1 when this group's traffic is
 	// never attributed. Assigned by Compile; -1 until then.
@@ -384,138 +325,192 @@ type tensorGroup struct {
 	evicts bool
 }
 
+// findGroup is the index of tensor's group in groups, or -1: a linear scan
+// of a node's few groups.
+func findGroup(groups []tensorGroup, tensor string) int {
+	for gi := range groups {
+		if groups[gi].tensor == tensor {
+			return gi
+		}
+	}
+	return -1
+}
+
 // buildStructure computes the remaining tiling-independent tables for a
-// freshly indexed tree — subtree sizes, subtree dim sets, and per-node
-// tensor access groups with their invocation closures — in one bottom-up
+// freshly indexed tree — subtree sizes, subtree dim masks, and per-node
+// tensor access groups with their invocation masks — in one bottom-up
 // pass over the pre-order ids (descending id order visits children before
-// parents).
+// parents), then fills the group masks. Masks and interned accesses are
+// carved from flat buffers, each node's groups and access references from
+// one exact-size slice apiece, and tensors are matched by a linear scan of
+// a node's few groups: a compile builds no maps.
 func buildStructure(t *tree) {
 	n := len(t.nodeSet)
 	st := t.st
+	nd := st.numDims
+	var accesses, rows, terms int
+	for _, node := range t.nodeSet {
+		if node.IsLeaf() {
+			accesses += len(node.Op.Reads) + 1
+			for _, acc := range node.Op.Reads {
+				rows += len(acc.Index)
+				terms += numTerms(acc)
+			}
+			rows += len(node.Op.Write.Index)
+			terms += numTerms(node.Op.Write)
+		}
+	}
+	rowBuf, termBuf := make([][]iterm, rows), make([]iterm, terms)
+	// One mask per node and one per leaf access.
+	masks := make([]bool, (n+accesses)*nd)
+	carve := func() []bool {
+		m := masks[:nd:nd]
+		masks = masks[nd:]
+		return m
+	}
 	st.size = make([]int, n)
-	st.dims = make([]map[string]bool, n)
 	st.dimMask = make([][]bool, n)
 	st.groups = make([][]tensorGroup, n)
-	idxOf := make([]map[string]int, n) // tensor -> group index, per node
+	numGroups := 0
 	for id := n - 1; id >= 0; id-- {
-		nd := t.nodeSet[id]
-		dims := map[string]bool{}
+		node := t.nodeSet[id]
+		mask := carve()
 		var groups []tensorGroup
-		idx := map[string]int{}
-		grp := func(tensor string) *tensorGroup {
-			gi, ok := idx[tensor]
-			if !ok {
-				gi = len(groups)
-				idx[tensor] = gi
-				groups = append(groups, tensorGroup{tensor: tensor, tensorID: -1, density: 1})
-			}
-			return &groups[gi]
-		}
 		size := 1
-		if nd.IsLeaf() {
-			op := nd.Op
+		if node.IsLeaf() {
+			op := node.Op
 			for _, d := range op.Dims {
-				dims[d.Name] = true
+				mask[st.internDim(d.Name)] = true
 			}
-			for _, r := range op.Reads {
-				g := grp(r.Tensor)
-				rd := accessDims(r)
-				g.reads = append(g.reads, accessRef{leafID: id, op: op, acc: r,
-					dims: rd, iix: internAccess(st, r), mask: dimMaskOf(st, rd),
-					maxWords: accessMaxWords(op, r)})
+			groups = make([]tensorGroup, 0, len(op.Reads)+1)
+			refs := make([]accessRef, 0, len(op.Reads)+1)
+			add := func(acc workload.Access, write bool) {
+				r := accessRef{leafID: id, op: op, acc: acc, mask: carve(), maxWords: accessMaxWords(op, acc)}
+				r.iix, rowBuf, termBuf = internAccessInto(st, acc, rowBuf, termBuf)
+				for _, terms := range r.iix {
+					for _, term := range terms {
+						if term.dim >= 0 {
+							r.mask[term.dim] = true
+						}
+					}
+				}
+				refs = append(refs, r)
+				gi := findGroup(groups, acc.Tensor)
+				if gi < 0 {
+					gi = len(groups)
+					groups = append(groups, tensorGroup{tensor: acc.Tensor, tensorID: -1, density: 1})
+				}
+				dst := &groups[gi].reads
+				if write {
+					dst = &groups[gi].writes
+				}
+				if *dst == nil {
+					*dst = refs[len(refs)-1 : len(refs) : len(refs)]
+				} else {
+					// A tensor the operator reads twice: the full
+					// one-element slice copies out on append.
+					*dst = append(*dst, r)
+				}
 			}
-			w := op.Write
-			g := grp(w.Tensor)
-			wd := accessDims(w)
-			g.writes = append(g.writes, accessRef{leafID: id, op: op, acc: w,
-				dims: wd, iix: internAccess(st, w), mask: dimMaskOf(st, wd),
-				maxWords: accessMaxWords(op, w)})
+			for _, acc := range op.Reads {
+				add(acc, false)
+			}
+			add(op.Write, true)
 		} else {
-			for _, cid := range st.children[id] {
+			kids := st.children[id]
+			maxGroups, numRefs := 0, 0
+			for _, cid := range kids {
 				size += st.size[cid]
-				for d := range st.dims[cid] {
-					dims[d] = true
-				}
+				orMask(mask, st.dimMask[cid])
+				maxGroups += len(st.groups[cid])
 				for _, cg := range st.groups[cid] {
-					g := grp(cg.tensor)
-					g.reads = append(g.reads, cg.reads...)
-					g.writes = append(g.writes, cg.writes...)
+					numRefs += len(cg.reads) + len(cg.writes)
 				}
 			}
-		}
-		for gi := range groups {
-			g := &groups[gi]
-			g.readDims = map[string]bool{}
-			for _, r := range g.reads {
-				for d := range r.dims {
-					g.readDims[d] = true
-				}
-			}
-			g.writeDims = map[string]bool{}
-			for _, w := range g.writes {
-				for d := range w.dims {
-					g.writeDims[d] = true
-				}
-				for _, rd := range w.op.ReductionDims() {
-					g.writeDims[rd] = true
-				}
-			}
-			g.readMask = dimMaskOf(st, g.readDims)
-			g.writeMask = dimMaskOf(st, g.writeDims)
-			if nd.Binding == Seq && len(nd.Children) >= 2 {
-				for _, cid := range st.children[id] {
-					if _, uses := idxOf[cid][g.tensor]; !uses {
-						g.evicts = true
-						break
+			// The node's groups in first-use order over its children.
+			groups = make([]tensorGroup, 0, maxGroups)
+			for _, cid := range kids {
+				for _, cg := range st.groups[cid] {
+					if findGroup(groups, cg.tensor) < 0 {
+						groups = append(groups, tensorGroup{tensor: cg.tensor, tensorID: -1, density: 1})
 					}
 				}
 			}
+			// Each group's reads (then writes) concatenate its children's
+			// in child order, as contiguous runs of one exact-size slice.
+			refs := make([]accessRef, 0, numRefs)
+			seqEvicts := node.Binding == Seq && len(kids) >= 2
+			for gi := range groups {
+				g := &groups[gi]
+				start := len(refs)
+				for _, cid := range kids {
+					if ci := findGroup(st.groups[cid], g.tensor); ci >= 0 {
+						refs = append(refs, st.groups[cid][ci].reads...)
+					} else if seqEvicts {
+						// Under Seq, a tensor some child does not use is
+						// evicted between the children.
+						g.evicts = true
+					}
+				}
+				g.reads = runFrom(refs, start)
+				start = len(refs)
+				for _, cid := range kids {
+					if ci := findGroup(st.groups[cid], g.tensor); ci >= 0 {
+						refs = append(refs, st.groups[cid][ci].writes...)
+					}
+				}
+				g.writes = runFrom(refs, start)
+			}
 		}
 		st.size[id] = size
-		st.dims[id] = dims
-		st.dimMask[id] = dimMaskOf(st, dims)
+		st.dimMask[id] = mask
 		st.groups[id] = groups
-		idxOf[id] = idx
+		numGroups += len(groups)
+	}
+	masks = make([]bool, 2*numGroups*nd)
+	for id := range st.groups {
+		for gi := range st.groups[id] {
+			g := &st.groups[id][gi]
+			g.readMask, g.writeMask = carve(), carve()
+			for _, r := range g.reads {
+				orMask(g.readMask, r.mask)
+			}
+			for _, w := range g.writes {
+				// The writer's reduction dims are its op dims missing
+				// from the write mask, so the two together are the write
+				// mask plus the writer leaf's dim mask.
+				orMask(g.writeMask, w.mask)
+				orMask(g.writeMask, st.dimMask[w.leafID])
+			}
+		}
 	}
 }
 
-// relevantInvocations counts how many times node n executes in total: the
+// runFrom is refs[start:] capped at its length, or nil when empty.
+func runFrom(refs []accessRef, start int) []accessRef {
+	if len(refs) == start {
+		return nil
+	}
+	return refs[start:len(refs):len(refs)]
+}
+
+// orMask sets every dim of src in dst.
+func orMask(dst, src []bool) {
+	for d, in := range src {
+		if in {
+			dst[d] = true
+		}
+	}
+}
+
+// invocationsMask counts how many times node n executes in total: the
 // product over strict ancestors of the extents of their loops whose
 // dimension is relevant to the subtree hanging toward n. Ancestor loops
 // over dimensions no operator under the path-child iterates do not
-// re-execute the subtree (the result is reused in place).
-func (t *tree) relevantInvocations(n int) float64 {
-	return t.invocationsWhere(n, nil)
-}
-
-// invocationsWhere is relevantInvocations restricted: when onlyDims is
-// non-nil, only ancestor loops over those dimensions count. It is used to
-// compute how many distinct output versions a node drains (write-relevant
-// dims only) versus how many times it drains (all relevant dims).
-func (t *tree) invocationsWhere(n int, onlyDims map[string]bool) float64 {
-	inv := 1.0
-	child := n
-	for a := t.st.parent[n]; a >= 0; a = t.st.parent[a] {
-		rel := t.st.dims[child]
-		for _, l := range t.nodeSet[a].Loops {
-			if !rel[l.Dim] {
-				continue
-			}
-			if onlyDims != nil && !onlyDims[l.Dim] {
-				continue
-			}
-			inv *= float64(l.Extent)
-		}
-		child = a
-	}
-	return inv
-}
-
-// invocationsMask is invocationsWhere on interned dim masks: the hot form
-// the evaluator uses. It walks the same ancestors in the same order and
-// multiplies the same extents under the same membership conditions, so the
-// float accumulation is bit-identical to the map form. only == nil means
-// unrestricted (relevantInvocations).
+// re-execute the subtree (the result is reused in place). A non-nil only
+// restricts the count to loops over the dims it marks: how many distinct
+// output versions a node drains (write-relevant dims only) versus how
+// many times it drains (only == nil, all relevant dims).
 func (t *tree) invocationsMask(n int, only []bool) float64 {
 	inv := 1.0
 	child := n
@@ -535,19 +530,4 @@ func (t *tree) invocationsMask(n int, only []bool) float64 {
 		child = a
 	}
 	return inv
-}
-
-// subtreeDims reports the set of iteration dimensions of all operators in
-// the subtree, precomputed at compile time.
-func (t *tree) subtreeDims(n int) map[string]bool {
-	return t.st.dims[n]
-}
-
-// accessDims is the set of iteration dims an access refers to.
-func accessDims(acc workload.Access) map[string]bool {
-	m := map[string]bool{}
-	for _, d := range acc.Dims() {
-		m[d] = true
-	}
-	return m
 }

@@ -357,8 +357,8 @@ func vectorOps(g *workload.Graph) float64 {
 // legality at compile time: every operator has a leaf tile, and every
 // node's level exists on the architecture.
 func validateStructure(t *tree, g *workload.Graph, spec *arch.Spec) error {
-	for _, op := range g.Ops {
-		if _, ok := t.st.leafOf[op]; !ok {
+	for i, op := range g.Ops {
+		if t.st.leafOf[i] < 0 {
 			return invalidf("core: operator %q has no leaf tile in the tree", op.Name)
 		}
 	}
@@ -374,9 +374,9 @@ func validateStructure(t *tree, g *workload.Graph, spec *arch.Spec) error {
 // structure: the tree must be a complete, exact tiling of the graph. It
 // runs on every Evaluate, since re-binds change only the loops.
 func validateTiling(t *tree, g *workload.Graph) error {
-	for _, op := range g.Ops {
-		leafID, ok := t.st.leafOf[op]
-		if !ok {
+	for i, op := range g.Ops {
+		leafID := t.st.leafOf[i]
+		if leafID < 0 {
 			return invalidf("core: operator %q has no leaf tile in the tree", op.Name)
 		}
 		for _, d := range op.Dims {
@@ -393,20 +393,14 @@ func validateTiling(t *tree, g *workload.Graph) error {
 	return nil
 }
 
-// fullCoverage is the leaf-to-root extent product of one dimension: the
-// exact-tiling check's quantity. Interned dims take the id-compare path;
-// dims outside the universe (possible only for ops the structure never
-// interned, which validation rejects elsewhere) fall back to strings.
+// fullCoverage is the leaf-to-root extent product of one dimension of the
+// leaf's operator: the exact-tiling check's quantity. Operator dims are
+// always interned, so the walk compares ids.
 func (t *tree) fullCoverage(leafID int, dim string) int {
+	d := t.st.internDim(dim)
 	cov := 1
-	if d := t.st.internDim(dim); d >= 0 {
-		for m := leafID; m >= 0; m = t.st.parent[m] {
-			cov *= t.dimExtentAt(m, d)
-		}
-		return cov
-	}
 	for m := leafID; m >= 0; m = t.st.parent[m] {
-		cov *= t.nodeSet[m].DimExtent(dim)
+		cov *= t.dimExtentAt(m, d)
 	}
 	return cov
 }
@@ -435,9 +429,9 @@ func validateNodeLoops(t *tree, i int, n *Node) error {
 // and clean items cannot fail when the snapshot passed, so the first error
 // returned is the one validateTiling would return.
 func validateTilingDelta(t *tree, g *workload.Graph, dirty, dirtyUp []bool) error {
-	for _, op := range g.Ops {
-		leafID, ok := t.st.leafOf[op]
-		if !ok {
+	for i, op := range g.Ops {
+		leafID := t.st.leafOf[i]
+		if leafID < 0 {
 			return invalidf("core: operator %q has no leaf tile in the tree", op.Name)
 		}
 		if !dirty[leafID] && !dirtyUp[leafID] {

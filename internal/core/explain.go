@@ -60,7 +60,7 @@ func (p *Program) Explain(opts Options) ([]NodeReport, error) {
 	var visit func(id, depth int)
 	visit = func(id, depth int) {
 		n := t.nodeSet[id]
-		inv := t.relevantInvocations(id)
+		inv := t.invocationsMask(id, nil)
 		bw := e.effBandwidth(id)
 		load, store := 0.0, 0.0
 		if inv > 0 && bw > 0 && !math.IsInf(bw, 1) {

@@ -17,7 +17,7 @@ func TestFigure5SingleTileDM(t *testing.T) {
 		T("i", 3), T("j", 3),
 		S("i", 4), S("j", 4), S("k", 3),
 	)
-	tr, err := buildTree(leaf)
+	tr, err := buildTree(leaf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFigure5SingleTileDM(t *testing.T) {
 
 	// Slice extents: A is 4×6, B is 4×3, C is 4×4 (Fig 5).
 	exts := func(acc workload.Access) []int64 {
-		return tr.sliceExtentsInto(make([]int64, len(acc.Index)), 0, 0, acc)
+		return tr.sliceExtentsIntoI(make([]int64, len(acc.Index)), 0, 0, leafIIX(tr, acc.Tensor))
 	}
 	if got := exts(accA); got[0] != 4 || got[1] != 6 {
 		t.Errorf("slice extents of A = %v, want [4 6]", got)
@@ -48,17 +48,26 @@ func TestFigure5SingleTileDM(t *testing.T) {
 
 	e := &evaluator{t: tr, s: &Scratch{}}
 	// The headline number: DM_A = 168 elements.
-	if got := e.perExecDM(0, 0, accA, false); got != 168 {
+	if got := e.perExecDMI(0, 0, leafIIX(tr, accA.Tensor), false); got != 168 {
 		t.Errorf("perExecDM(A) = %v, want 168", got)
 	}
 	// B is fully reused along j: 12 compulsory + 2×12 when i advances.
-	if got := e.perExecDM(0, 0, accB, false); got != 36 {
+	if got := e.perExecDMI(0, 0, leafIIX(tr, accB.Tensor), false); got != 36 {
 		t.Errorf("perExecDM(B) = %v, want 36", got)
 	}
 	// C: every output element written exactly once, 12×12 = 144.
-	if got := e.perExecDM(0, 0, op.Write, false); got != 144 {
+	if got := e.perExecDMI(0, 0, leafIIX(tr, op.Write.Tensor), false); got != 144 {
 		t.Errorf("perExecDM(C) = %v, want 144", got)
 	}
+}
+
+// leafIIX is the compiled interned access to tensor at leaf 0.
+func leafIIX(tr *tree, tensor string) [][]iterm {
+	g := tr.st.groups[0][findGroup(tr.st.groups[0], tensor)]
+	if len(g.reads) > 0 {
+		return g.reads[0].iix
+	}
+	return g.writes[0].iix
 }
 
 // TestFigure5LoopOrderMatters checks that swapping the temporal loop order
@@ -70,7 +79,7 @@ func TestFigure5LoopOrderMatters(t *testing.T) {
 		T("j", 3), T("i", 3), // swapped
 		S("i", 4), S("j", 4), S("k", 3),
 	)
-	tr, err := buildTree(leaf)
+	tr, err := buildTree(leaf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,7 @@ func TestFigure5LoopOrderMatters(t *testing.T) {
 	// occurs (3−1)·3 = 6 times moving 12 fresh elements, and the j
 	// boundary resets i (full 12-element refetch) twice.
 	e := &evaluator{t: tr, s: &Scratch{}}
-	got := e.perExecDM(0, 0, accB, false)
+	got := e.perExecDMI(0, 0, leafIIX(tr, accB.Tensor), false)
 	want := 12.0 + 6*12 + 2*12
 	if got != want {
 		t.Errorf("perExecDM(B) with i innermost = %v, want %v", got, want)

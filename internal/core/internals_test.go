@@ -35,15 +35,20 @@ func TestConfinementLCA(t *testing.T) {
 	inner := Tile("inner", 1, Shar, []Loop{T("i", 2)}, lf, lg)
 	outer := Tile("outer", 1, Shar, []Loop{T("i", 2)}, inner, lh)
 	root := Tile("root", 2, Seq, nil, outer)
-	tr, err := buildTree(root)
+	tr, err := buildTree(root, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := tr.confinements(g)
-	if conf["Mid1"] != tr.id[inner] {
+	// Pre-order ids: root 0, outer 1, inner 2, lf 3, lg 4, lh 5.
+	const outerID, innerID = 1, 2
+	conf := map[string]int{}
+	for _, c := range tr.confinements(g) {
+		conf[c.tensor] = c.lca
+	}
+	if conf["Mid1"] != innerID {
 		t.Errorf("Mid1 confined at %v, want inner", tr.nodeSet[conf["Mid1"]].Name)
 	}
-	if conf["Mid2"] != tr.id[outer] {
+	if conf["Mid2"] != outerID {
 		t.Errorf("Mid2 confined at %v, want outer", tr.nodeSet[conf["Mid2"]].Name)
 	}
 	if _, ok := conf["X"]; ok {
@@ -61,17 +66,19 @@ func TestChildToward(t *testing.T) {
 	root := Tile("r", 2, Seq, nil, mid)
 	// The other two ops still need leaves for a valid tree build; use a
 	// raw buildTree on a subtree instead.
-	tr, err := buildTree(root)
+	tr, err := buildTree(root, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.childToward(tr.id[root], tr.id[leaf]); got != tr.id[mid] {
+	// Pre-order ids: root 0, mid 1, leaf 2.
+	const rootID, midID, leafID = 0, 1, 2
+	if got := tr.childToward(rootID, leafID); got != midID {
 		t.Errorf("childToward(root) = %s", tr.nodeSet[got].Name)
 	}
-	if got := tr.childToward(tr.id[mid], tr.id[leaf]); got != tr.id[leaf] {
+	if got := tr.childToward(midID, leafID); got != leafID {
 		t.Errorf("childToward(mid) = %s", tr.nodeSet[got].Name)
 	}
-	if got := tr.childToward(tr.id[leaf], tr.id[leaf]); got != tr.id[leaf] {
+	if got := tr.childToward(leafID, leafID); got != leafID {
 		t.Errorf("childToward(leaf) = %s", tr.nodeSet[got].Name)
 	}
 }
@@ -83,20 +90,24 @@ func TestInvocationsRelevance(t *testing.T) {
 	lh := Leaf("lh", g.Op("H"), T("i", 8), T("j", 8))
 	stage := Tile("stage", 1, Shar, []Loop{T("i", 2), T("j", 4)}, lf, lg, lh)
 	root := Tile("root", 2, Seq, []Loop{T("i", 2)}, stage)
-	tr, err := buildTree(root)
+	tr, err := buildTree(root, g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Pre-order ids: root 0, stage 1, lf 2.
+	const lfID = 2
 	// Each leaf re-executes for every relevant ancestor loop iteration:
 	// stage (2·4) × root (2) = 16.
-	if inv := tr.relevantInvocations(tr.id[lf]); inv != 16 {
+	if inv := tr.invocationsMask(lfID, nil); inv != 16 {
 		t.Errorf("invocations = %v, want 16", inv)
 	}
 	// Restricted to dim i only: 2 × 2 = 4.
-	if inv := tr.invocationsWhere(tr.id[lf], map[string]bool{"i": true}); inv != 4 {
+	onlyI := make([]bool, tr.st.numDims)
+	onlyI[tr.st.internDim("i")] = true
+	if inv := tr.invocationsMask(lfID, onlyI); inv != 4 {
 		t.Errorf("i-invocations = %v, want 4", inv)
 	}
-	if inv := tr.invocationsWhere(tr.id[lf], map[string]bool{}); inv != 1 {
+	if inv := tr.invocationsMask(lfID, make([]bool, tr.st.numDims)); inv != 1 {
 		t.Errorf("empty-set invocations = %v, want 1", inv)
 	}
 }
@@ -107,15 +118,12 @@ func TestStrides(t *testing.T) {
 	// Two temporal loops over the same dim at one node: the outer one
 	// strides by the inner extent times the step coverage.
 	leaf := Leaf("leaf", op, T("j", 2), T("j", 3), T("i", 12), T("k", 3), S("j", 2))
-	tr, err := buildTree(leaf)
+	tr, err := buildTree(leaf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := temporalLoops(leaf)
-	if len(tl) != 4 {
-		t.Fatalf("temporal loops = %d", len(tl))
-	}
-	s := tr.strides(0, 0, tl)
+	// The first four loops are the temporal ones.
+	s := tr.stridesIntoI(nil, 0, 0, leaf.Loops[:4], tr.ldim[0][:4])
 	// stepCov(j) = spatial 2; inner j loop strides 2, outer j strides 3·2.
 	if s[1] != 2 || s[0] != 6 {
 		t.Errorf("j strides = outer %d inner %d, want 6/2", s[0], s[1])
@@ -145,8 +153,8 @@ func TestNodeHelpers(t *testing.T) {
 		t.Error("IsLeaf")
 	}
 	node := Tile("n", 1, Pipe, nil, leaf)
-	if len(node.Leaves()) != 1 || len(node.Ops()) != 1 {
-		t.Error("Leaves/Ops")
+	if len(node.Leaves()) != 1 {
+		t.Error("Leaves")
 	}
 	if node.Binding.String() != "Pipe" || Seq.String() != "Seq" || Shar.String() != "Shar" || Para.String() != "Para" {
 		t.Error("binding names")
@@ -162,16 +170,16 @@ func TestBuildTreeRejects(t *testing.T) {
 	// Operator in two leaves.
 	l1 := Leaf("a", op, T("i", 32), T("j", 32))
 	l2 := Leaf("b", op, T("i", 32), T("j", 32))
-	if _, err := buildTree(Tile("r", 2, Seq, nil, l1, l2)); err == nil {
+	if _, err := buildTree(Tile("r", 2, Seq, nil, l1, l2), g); err == nil {
 		t.Error("want duplicate-operator error")
 	}
 	// Interior node without children.
-	if _, err := buildTree(Tile("r", 2, Seq, nil)); err == nil {
+	if _, err := buildTree(Tile("r", 2, Seq, nil), g); err == nil {
 		t.Error("want childless-interior error")
 	}
 	// Child above parent level.
 	hi := Tile("hi", 3, Seq, nil, Leaf("x", op, T("i", 32), T("j", 32)))
-	if _, err := buildTree(Tile("r", 2, Seq, nil, hi)); err == nil {
+	if _, err := buildTree(Tile("r", 2, Seq, nil, hi), g); err == nil {
 		t.Error("want level-inversion error")
 	}
 }
@@ -235,7 +243,7 @@ func TestUnitUsageArenaMatchesRecursive(t *testing.T) {
 	stage := Tile("stage", 1, Shar, []Loop{T("i", 2), S("j", 2)}, lf, lg, lh)
 	root := Tile("root", 2, Seq, []Loop{T("i", 2)}, stage)
 	for _, numLevels := range []int{2, 3, 4} {
-		tr, err := buildTree(root)
+		tr, err := buildTree(root, g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,12 +35,9 @@ type Program struct {
 	spec *arch.Spec
 	t    *tree
 
-	// confine maps each confined intermediate tensor to the pre-order id
-	// of its LCA node (Sec 5.1.2): its traffic never crosses that node's
-	// upper boundary.
-	confine map[string]int
 	// confRel is the per-(node, group) confinement relation derived from
-	// confine — the form the evaluator's hot loops consume.
+	// the confinement LCAs (Sec 5.1.2) — the form the evaluator's hot
+	// loops consume.
 	confRel [][]confRel
 	// pLevel is the memory level each node loads from across its upper
 	// boundary, or -1 when no boundary exists (root at DRAM, or a child
@@ -77,14 +74,13 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	t, err := buildTree(root)
+	t, err := buildTree(root, g)
 	if err != nil {
 		return nil, err
 	}
 	if err := validateStructure(t, g, spec); err != nil {
 		return nil, err
 	}
-	confine := t.confinements(g)
 	opDensity := make([]float64, len(t.nodeSet))
 	for i, n := range t.nodeSet {
 		opDensity[i] = 1
@@ -97,8 +93,7 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 		g:         g,
 		spec:      spec,
 		t:         t,
-		confine:   confine,
-		confRel:   confRelTable(t, confine),
+		confRel:   confRelTable(t, t.confinements(g)),
 		opDensity: opDensity,
 		macs:      macOps(g),
 		vops:      vectorOps(g),
@@ -112,7 +107,6 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 	// The tensors the data-movement pass can attribute traffic to are a
 	// pure function of the structure: walk (node, group) pairs in the
 	// exact order accountDataMovement does and collect first uses.
-	seen := map[string]bool{}
 	for i := range t.nodeSet {
 		if p.pLevel[i] < 0 {
 			continue
@@ -121,9 +115,7 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 			if p.confRel[i][gi] != confNone {
 				continue
 			}
-			tensor := t.st.groups[i][gi].tensor
-			if !seen[tensor] {
-				seen[tensor] = true
+			if tensor := t.st.groups[i][gi].tensor; indexOf(p.attributed, tensor) < 0 {
 				p.attributed = append(p.attributed, tensor)
 			}
 		}
@@ -132,16 +124,10 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 	// (or -1), so the evaluator addresses the arena's flat per-tensor rows
 	// without hashing the name. The structure is owned by this Compile and
 	// shared read-only afterwards, so stamping here is safe.
-	tidOf := make(map[string]int, len(p.attributed))
-	for i, tensor := range p.attributed {
-		tidOf[tensor] = i
-	}
 	for i := range t.st.groups {
 		for gi := range t.st.groups[i] {
 			g := &t.st.groups[i][gi]
-			if id, ok := tidOf[g.tensor]; ok {
-				g.tensorID = id
-			}
+			g.tensorID = indexOf(p.attributed, g.tensor)
 		}
 	}
 	t.stampDensities(g)
@@ -156,6 +142,17 @@ func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 		}
 	}
 	return p, nil
+}
+
+// indexOf is the index of s in list, or -1: a linear scan of the few
+// tensor names a structure has.
+func indexOf(list []string, s string) int {
+	for i, x := range list {
+		if x == s {
+			return i
+		}
+	}
+	return -1
 }
 
 // parentLevelOf reports the memory level node i loads from across its

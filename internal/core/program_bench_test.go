@@ -86,6 +86,19 @@ func BenchmarkEvaluateRebind(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile is the tiling-independent half alone: what the GA pays
+// per individual, since every new encoding is a new structure.
+func BenchmarkCompile(b *testing.B) {
+	root, g, spec := benchDesignPoint(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compile(root, g, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestCompiledFasterThanCold asserts the pipeline's speedup contract —
 // compiled re-evaluation at least 3x faster than the one-shot path on the
 // canonical attention design point. Timing assertions are flaky on loaded

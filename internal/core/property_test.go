@@ -124,13 +124,13 @@ func TestPropertySliceExtentsPositive(t *testing.T) {
 			T("i", e(ti)), T("j", e(tj)), T("k", e(tk)),
 			S("i", e(si)), S("j", e(sj)),
 		)
-		tr, err := buildTree(leaf)
+		tr, err := buildTree(leaf, g)
 		if err != nil {
 			return false
 		}
 		ev := &evaluator{t: tr, s: &Scratch{}}
 		for _, acc := range op.Accesses() {
-			exts := tr.sliceExtentsInto(make([]int64, len(acc.Index)), 0, 0, acc)
+			exts := tr.sliceExtentsIntoI(make([]int64, len(acc.Index)), 0, 0, leafIIX(tr, acc.Tensor))
 			vol := int64(1)
 			for _, x := range exts {
 				if x < 1 {
@@ -138,12 +138,12 @@ func TestPropertySliceExtentsPositive(t *testing.T) {
 				}
 				vol *= x
 			}
-			if vol != tr.sliceVolume(0, 0, acc) {
+			if vol != tr.sliceVolumeI(0, 0, leafIIX(tr, acc.Tensor)) {
 				return false
 			}
 			// Per-exec DM is at least the compulsory slice and at most
 			// slice × temporal trips.
-			dm := ev.perExecDM(0, 0, acc, false)
+			dm := ev.perExecDMI(0, 0, leafIIX(tr, acc.Tensor), false)
 			if dm < float64(vol)-0.5 {
 				return false
 			}

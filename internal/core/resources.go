@@ -161,20 +161,32 @@ const (
 )
 
 // confRelTable precomputes the confinement relation for every (node, group)
-// pair from a tensor→LCA-id map. It is a pure function of the structure and
-// the confinement set, shared by Compile and the static analyzer.
-func confRelTable(t *tree, confine map[string]int) [][]confRel {
+// pair from the confinement LCAs. It is a pure function of the structure
+// and the confinement set, shared by Compile and the static analyzer. The
+// rows share one backing array.
+func confRelTable(t *tree, conf []confinement) [][]confRel {
 	out := make([][]confRel, len(t.nodeSet))
-	for id := range t.nodeSet {
-		groups := t.st.groups[id]
+	total := 0
+	for _, groups := range t.st.groups {
+		total += len(groups)
+	}
+	buf := make([]confRel, total)
+	for id, groups := range t.st.groups {
 		if len(groups) == 0 {
 			continue
 		}
-		row := make([]confRel, len(groups))
+		row := buf[:len(groups):len(groups)]
+		buf = buf[len(groups):]
 		for gi := range groups {
-			lca, ok := confine[groups[gi].tensor]
+			lca := -1
+			for _, c := range conf {
+				if c.tensor == groups[gi].tensor {
+					lca = c.lca
+					break
+				}
+			}
 			switch {
-			case !ok:
+			case lca < 0:
 			case lca == id:
 				row[gi] = confHere
 			case t.subtreeContains(id, lca):
@@ -262,30 +274,48 @@ func (t *tree) footprintInto(rows []int64, numLevels int, rel [][]confRel, need 
 	return rows[0:numLevels:numLevels]
 }
 
+// confinement is one confined intermediate tensor and the pre-order id of
+// its home LCA node.
+type confinement struct {
+	tensor string
+	lca    int
+}
+
 // confinements computes, for every intermediate tensor of the graph, the
 // pre-order id of the deepest node whose subtree contains every operator
 // touching it: the tensor's home. Traffic for a confined tensor never
 // crosses its home node's upper boundary (Sec 5.1.2 — this is the fusion
 // payoff: the intermediate is staged on chip instead of spilling to DRAM).
-// Graph inputs and outputs are never confined; they must reach DRAM.
-func (t *tree) confinements(g *workload.Graph) map[string]int {
-	out := map[string]int{}
-	for _, tensor := range g.IntermediateTensors() {
-		var users []int
-		if p := g.Producer(tensor); p != nil {
-			if id, ok := t.st.leafOf[p]; ok {
-				users = append(users, id)
-			}
-		}
-		for _, r := range g.Readers(tensor) {
-			if id, ok := t.st.leafOf[r]; ok {
-				users = append(users, id)
+// Graph inputs and outputs are never confined; they must reach DRAM. The
+// result is in the graph's sorted intermediate-tensor order.
+func (t *tree) confinements(g *workload.Graph) []confinement {
+	tensors := g.IntermediateTensors()
+	out := make([]confinement, 0, len(tensors))
+	users := make([]int, 0, len(g.Ops))
+	for _, tensor := range tensors {
+		users = users[:0]
+		for i, op := range g.Ops {
+			if leaf := t.st.leafOf[i]; leaf >= 0 && touches(op, tensor) {
+				users = append(users, leaf)
 			}
 		}
 		if len(users) == 0 {
 			continue
 		}
-		out[tensor] = t.lcaIDs(users)
+		out = append(out, confinement{tensor: tensor, lca: t.lcaIDs(users)})
 	}
 	return out
+}
+
+// touches reports whether op reads or writes tensor.
+func touches(op *workload.Operator, tensor string) bool {
+	if op.Write.Tensor == tensor {
+		return true
+	}
+	for _, r := range op.Reads {
+		if r.Tensor == tensor {
+			return true
+		}
+	}
+	return false
 }

@@ -100,7 +100,7 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 		}
 		return vs
 	}
-	t, err := buildTree(root)
+	t, err := buildTree(root, g)
 	if err != nil {
 		// Unreachable when collectStructural mirrors buildTree; kept as a
 		// safety net so a drift bug degrades to a reported violation
@@ -110,8 +110,8 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 
 	// validateStructure, collecting.
 	levelsOK := true
-	for _, op := range g.Ops {
-		if _, ok := t.st.leafOf[op]; !ok {
+	for i, op := range g.Ops {
+		if t.st.leafOf[i] < 0 {
 			v := violation(RuleOpNoLeaf, invalidf("core: operator %q has no leaf tile in the tree", op.Name))
 			v.Op = op.Name
 			vs = append(vs, v)
@@ -127,17 +127,13 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 	}
 
 	// validateTiling, collecting.
-	for _, op := range g.Ops {
-		leafID, ok := t.st.leafOf[op]
-		if !ok {
+	for i, op := range g.Ops {
+		leafID := t.st.leafOf[i]
+		if leafID < 0 {
 			continue // reported above
 		}
 		for _, d := range op.Dims {
-			cov := 1
-			for m := leafID; m >= 0; m = t.st.parent[m] {
-				cov *= t.nodeSet[m].DimExtent(d.Name)
-			}
-			if cov != d.Size {
+			if cov := t.fullCoverage(leafID, d.Name); cov != d.Size {
 				v := violation(RuleCoverage, invalidf("core: operator %q dim %q tiled to %d, want %d", op.Name, d.Name, cov, d.Size))
 				v.Op, v.Dim, v.Node = op.Name, d.Name, t.nodeSet[leafID].Name
 				vs = append(vs, v)
@@ -151,7 +147,7 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 				v.Node, v.Dim, v.Loop = n.Name, l.Dim, li
 				vs = append(vs, v)
 			}
-			if !t.subtreeDims(i)[l.Dim] {
+			if d := t.ldim[i][li]; d < 0 || !t.st.dimMask[i][d] {
 				v := violation(RuleLoopDim, invalidf("core: node %q loop over dim %q that no operator in its subtree iterates", n.Name, l.Dim))
 				v.Node, v.Dim, v.Loop = n.Name, l.Dim, li
 				vs = append(vs, v)
@@ -180,8 +176,7 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 		}
 	}
 	if !opts.SkipCapacityCheck {
-		confine := t.confinements(g)
-		rel := confRelTable(t, confine)
+		rel := confRelTable(t, t.confinements(g))
 		rows := make([]int64, len(t.nodeSet)*spec.NumLevels())
 		t.stampDensities(g)
 		fp := t.footprintInto(rows, spec.NumLevels(), rel, nil)

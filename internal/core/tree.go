@@ -199,20 +199,6 @@ func (n *Node) Leaves() []*Node {
 	return out
 }
 
-// Ops collects the distinct operators computed in the subtree, in execution
-// order.
-func (n *Node) Ops() []*workload.Operator {
-	var out []*workload.Operator
-	seen := map[*workload.Operator]bool{}
-	for _, leaf := range n.Leaves() {
-		if !seen[leaf.Op] {
-			seen[leaf.Op] = true
-			out = append(out, leaf.Op)
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the subtree. Operators are shared, not copied.
 func (n *Node) Clone() *Node {
 	c := *n
@@ -256,11 +242,7 @@ func (n *Node) render(b *strings.Builder, depth int) {
 type tree struct {
 	root    *Node
 	nodeSet []*Node // pre-order; nodeSet[i] is the node with id i
-	// id maps template nodes to their pre-order ids. It exists only on
-	// trees built by buildTree (templates); rebind views leave it nil —
-	// the evaluator works purely on ids and never needs the map.
-	id map[*Node]int
-	st *structure
+	st      *structure
 	// ldim[i][k] is the interned dim id of nodeSet[i].Loops[k] (-1 when
 	// the dim is outside the structure's dim universe). It is the one
 	// tiling-dependent table the tree carries: the hot analysis loops
@@ -280,7 +262,9 @@ type tree struct {
 // structure holds every analysis table that depends only on the tree's
 // shape, levels, bindings and operators — never on loop extents — indexed
 // by pre-order node id. One structure is computed per Compile and shared,
-// read-only, by every tiling re-bind of the same shape.
+// read-only, by every tiling re-bind of the same shape. It holds no maps:
+// dims are dense ids, dim sets are masks over them, and tensors are
+// matched by a linear scan of a node's few groups.
 type structure struct {
 	// parent is the pre-order id of each node's parent; -1 for the root.
 	parent []int
@@ -289,37 +273,34 @@ type structure struct {
 	// size is the subtree node count, making subtree membership an
 	// O(1) pre-order interval test.
 	size []int
-	// leafOf maps each template operator to its leaf's pre-order id.
-	leafOf map[*workload.Operator]int
-	// dims is the set of iteration dimensions of all operators in the
-	// subtree.
-	dims []map[string]bool
-	// dimID interns every dimension name any operator declares to a dense
-	// id in [0, numDims), in first-leaf-declaration order. The hot
-	// analysis loops run on these ids (loop compares, mask tests) instead
-	// of string hashing. dimNames[id] is the name of id.
-	dimID    map[string]int
+	// leafOf is parallel to the graph's Ops: the pre-order id of each
+	// operator's leaf, or -1 when the tree has none.
+	leafOf []int
+	// dimNames interns every dimension name any operator declares to a
+	// dense id in [0, numDims), in first-leaf-declaration order:
+	// dimNames[id] is the name of id. The hot analysis loops run on these
+	// ids (loop compares, mask tests) instead of string hashing.
 	dimNames []string
 	numDims  int
-	// dimMask is dims as a bitset over dim ids, per node.
+	// dimMask is, per node, the set of iteration dimensions of all
+	// operators in the subtree, as a mask over dim ids.
 	dimMask [][]bool
 	// groups lists, per node, the tensors its subtree accesses with all
 	// per-tensor access closures precomputed, in first-use order.
 	groups [][]tensorGroup
 }
 
-func buildTree(root *Node) (*tree, error) {
-	t := &tree{
-		root: root,
-		id:   map[*Node]int{},
-	}
-	st := &structure{leafOf: map[*workload.Operator]int{}}
-	leafNode := map[*workload.Operator]*Node{}
+// buildTree indexes root in pre-order, checks the structural rules that
+// need no architecture, and computes the tiling-independent tables. g
+// supplies the operator order leafOf is parallel to.
+func buildTree(root *Node, g *workload.Graph) (*tree, error) {
+	t := &tree{root: root}
+	st := &structure{}
+	var leaves []int
 	var err error
 	var visit func(n *Node, parent int)
 	visit = func(n *Node, parent int) {
 		id := len(t.nodeSet)
-		t.id[n] = id
 		t.nodeSet = append(t.nodeSet, n)
 		st.parent = append(st.parent, parent)
 		st.children = append(st.children, nil)
@@ -328,12 +309,13 @@ func buildTree(root *Node) (*tree, error) {
 				err = invalidf("core: leaf %q has children", n.Name)
 				return
 			}
-			if prev := leafNode[n.Op]; prev != nil {
-				err = invalidf("core: operator %q appears in two leaves (%q, %q)", n.Op.Name, prev.Name, n.Name)
-				return
+			for _, l := range leaves {
+				if prev := t.nodeSet[l]; prev.Op == n.Op {
+					err = invalidf("core: operator %q appears in two leaves (%q, %q)", n.Op.Name, prev.Name, n.Name)
+					return
+				}
 			}
-			leafNode[n.Op] = n
-			st.leafOf[n.Op] = id
+			leaves = append(leaves, id)
 			return
 		}
 		if len(n.Children) == 0 {
@@ -356,6 +338,16 @@ func buildTree(root *Node) (*tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.leafOf = make([]int, len(g.Ops))
+	for i, op := range g.Ops {
+		st.leafOf[i] = -1
+		for _, l := range leaves {
+			if t.nodeSet[l].Op == op {
+				st.leafOf[i] = l
+				break
+			}
+		}
+	}
 	t.st = st
 	internDims(t)
 	buildStructure(t)
@@ -369,14 +361,12 @@ func buildTree(root *Node) (*tree, error) {
 // -1; validation rejects them before any analysis loop compares ids.
 func internDims(t *tree) {
 	st := t.st
-	st.dimID = map[string]int{}
 	for _, n := range t.nodeSet {
 		if !n.IsLeaf() {
 			continue
 		}
 		for _, d := range n.Op.Dims {
-			if _, ok := st.dimID[d.Name]; !ok {
-				st.dimID[d.Name] = st.numDims
+			if st.internDim(d.Name) < 0 {
 				st.dimNames = append(st.dimNames, d.Name)
 				st.numDims++
 			}
@@ -494,7 +484,6 @@ func (t *tree) rebind(newRoot *Node) (*tree, error) {
 // re-filled per candidate is what keeps the delta path allocation-free.
 func (t *tree) rebindNodes(nt *tree, newRoot *Node) error {
 	nt.root = newRoot
-	nt.id = nil
 	nt.st = t.st
 	if cap(nt.nodeSet) < len(t.nodeSet) {
 		nt.nodeSet = make([]*Node, 0, len(t.nodeSet))
@@ -601,36 +590,10 @@ func (t *tree) childToward(n, leaf int) int {
 	return child
 }
 
-// covBelow is the chunk of dimension dim covered per iteration step of node
-// n along the path toward leaf: the product of extents of dim loops at all
-// path nodes strictly below n.
-func (t *tree) covBelow(n, leaf int, dim string) int {
-	cov := 1
-	for m := leaf; m >= 0 && m != n; m = t.st.parent[m] {
-		cov *= t.nodeSet[m].DimExtent(dim)
-	}
-	return cov
-}
-
-// stepCov is the extent of dimension dim covered by one temporal step of
-// node n on the path to leaf: the node's own spatial extents times
-// everything below. This is the slice-defining quantity of Sec 5.1.1 — the
-// slice extent stays constant across time steps and is determined by the
-// spatial loops (and the subtree chunk).
-func (t *tree) stepCov(n, leaf int, dim string) int {
-	return t.nodeSet[n].SpatialExtent(dim) * t.covBelow(n, leaf, dim)
-}
-
-// covAt is the full extent of dim covered by node n (all loops at n and
-// below, along the path to leaf).
-func (t *tree) covAt(n, leaf int, dim string) int {
-	return t.nodeSet[n].DimExtent(dim) * t.covBelow(n, leaf, dim)
-}
-
 // dimExtentAt is DimExtent on interned dim ids: the product of all loop
-// extents of node m whose dim interned to dim. The hot analysis loops use
+// extents of node m whose dim interned to dim. The analysis loops use
 // these forms to replace string hashing with int32 compares; each is the
-// exact same product, term for term, as its string counterpart.
+// exact same product, term for term, as its Node method counterpart.
 func (t *tree) dimExtentAt(m int, dim int32) int {
 	if dim < 0 {
 		// Dims outside the universe match no loop.
@@ -647,7 +610,9 @@ func (t *tree) spatialExtentAt(m int, dim int32) int {
 	return int(t.sext[m][dim])
 }
 
-// covBelowID is covBelow on interned dim ids.
+// covBelowID is the chunk of dimension dim covered per iteration step of
+// node n along the path toward leaf: the product of extents of dim loops
+// at all path nodes strictly below n.
 func (t *tree) covBelowID(n, leaf int, dim int32) int {
 	cov := 1
 	for m := leaf; m >= 0 && m != n; m = t.st.parent[m] {
@@ -656,12 +621,17 @@ func (t *tree) covBelowID(n, leaf int, dim int32) int {
 	return cov
 }
 
-// stepCovID is stepCov on interned dim ids.
+// stepCovID is the extent of dimension dim covered by one temporal step of
+// node n on the path to leaf: the node's own spatial extents times
+// everything below. This is the slice-defining quantity of Sec 5.1.1 — the
+// slice extent stays constant across time steps and is determined by the
+// spatial loops (and the subtree chunk).
 func (t *tree) stepCovID(n, leaf int, dim int32) int {
 	return t.spatialExtentAt(n, dim) * t.covBelowID(n, leaf, dim)
 }
 
-// covAtID is covAt on interned dim ids.
+// covAtID is the full extent of dim covered by node n (all loops at n and
+// below, along the path to leaf).
 func (t *tree) covAtID(n, leaf int, dim int32) int {
 	return t.dimExtentAt(n, dim) * t.covBelowID(n, leaf, dim)
 }

@@ -105,7 +105,11 @@ type TreeSearchResult struct {
 }
 
 type individual struct {
-	enc    *Encoding
+	enc *Encoding
+	// key is enc.String() after the generation's Repair, set once by
+	// evaluatePopulation: the fitness cache key suffix, the tuning seed's
+	// input and the tuned-stats key.
+	key    string
 	cycles float64
 	eval   *Evaluation
 }
@@ -238,7 +242,7 @@ func (s *TreeSearch) RunContext(ctx context.Context) *TreeSearchResult {
 			break // mid-generation cancel: discard the partial generation
 		}
 		for _, ind := range individuals {
-			key := ind.enc.String()
+			key := ind.key
 			if _, ok := tuned[key]; ok {
 				continue
 			}
@@ -257,7 +261,7 @@ func (s *TreeSearch) RunContext(ctx context.Context) *TreeSearchResult {
 			(res.Best == nil || best.cycles < res.Best.Cycles) {
 			res.Best = best.eval
 			res.Encoding = best.enc.Clone()
-			bestStats = tuned[best.enc.String()]
+			bestStats = tuned[best.key]
 		}
 		if res.Best != nil {
 			res.Trace = append(res.Trace, res.Best.Cycles)
@@ -338,12 +342,13 @@ func (s *TreeSearch) evaluatePopulation(ctx context.Context, pop []*individual, 
 	var jobs []job
 	for _, ind := range pop {
 		ind.enc.Repair(s.Spec.NumLevels())
-		if hit, ok := cache.Get(prefix + ind.enc.String()); ok {
+		ind.key = ind.enc.String()
+		if hit, ok := cache.Get(prefix + ind.key); ok {
 			f := hit.(*cachedFitness)
 			ind.cycles, ind.eval = f.cycles, f.eval
 			continue
 		}
-		jobs = append(jobs, job{ind, s.encodingSeed(ind.enc)})
+		jobs = append(jobs, job{ind, s.encodingSeed(ind.key)})
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
@@ -366,7 +371,7 @@ func (s *TreeSearch) evaluatePopulation(ctx context.Context, pop []*individual, 
 		return
 	}
 	for _, j := range jobs {
-		cache.Put(prefix+j.ind.enc.String(), &cachedFitness{cycles: j.ind.cycles, eval: j.ind.eval})
+		cache.Put(prefix+j.ind.key, &cachedFitness{cycles: j.ind.cycles, eval: j.ind.eval})
 	}
 }
 
@@ -393,13 +398,13 @@ func (s *TreeSearch) fitnessKeyPrefix() string {
 }
 
 // encodingSeed derives the MCTS seed for one individual from the encoding
-// content and the search seed, not from a shared RNG stream, so the same
-// encoding is always tuned identically — cached and uncached runs of the
-// same TreeSearch seed produce the same TreeSearchResult regardless of
-// cache state or evaluation order.
-func (s *TreeSearch) encodingSeed(enc *Encoding) int64 {
+// content (its key, Encoding.String) and the search seed, not from a
+// shared RNG stream, so the same encoding is always tuned identically —
+// cached and uncached runs of the same TreeSearch seed produce the same
+// TreeSearchResult regardless of cache state or evaluation order.
+func (s *TreeSearch) encodingSeed(key string) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(enc.String()))
+	h.Write([]byte(key))
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(s.Seed))
 	h.Write(b[:])

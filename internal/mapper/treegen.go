@@ -517,10 +517,10 @@ func (d *GeneratedDataflow) bind(p *genPrep, root *core.Node, f []int, spC, spS 
 		return nil, p.err
 	}
 	if spC > 1 && p.spatialSize%spC != 0 {
-		return nil, fmt.Errorf("mapper: sp_c=%d does not divide %s", spC, d.SpatialDim)
+		return nil, &bindError{split: "sp_c", factor: spC, dim: d.SpatialDim}
 	}
 	if spS > 1 && p.subSize%spS != 0 {
-		return nil, fmt.Errorf("mapper: sp_s=%d does not divide %s", spS, d.SubDim)
+		return nil, &bindError{split: "sp_s", factor: spS, dim: d.SubDim}
 	}
 	if p.lateErr != nil {
 		return nil, p.lateErr
@@ -541,8 +541,7 @@ func (d *GeneratedDataflow) bind(p *genPrep, root *core.Node, f []int, spC, spS 
 				cov *= v.extent(gl)
 			}
 			if dim.Size%cov != 0 {
-				return nil, fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d",
-					l.op.Name, dim.Name, cov, dim.Size)
+				return nil, &bindError{op: l.op.Name, dim: dim.Name, factor: cov, size: dim.Size}
 			}
 			rem = append(rem, dim.Size/cov)
 		}
@@ -554,6 +553,22 @@ func (d *GeneratedDataflow) bind(p *genPrep, root *core.Node, f []int, spC, spS 
 	}
 	p.fill(root, &next, &v, rem)
 	return root, nil
+}
+
+// bindError is a factor vector bind rejects: a spatial split (split names
+// its factor, "sp_c" or "sp_s") or a leaf's path factors that do not divide
+// the dim. It formats only in Error, since TileSearch discards the text of
+// almost every rejection.
+type bindError struct {
+	split, op, dim string
+	factor, size   int
+}
+
+func (e *bindError) Error() string {
+	if e.split != "" {
+		return fmt.Sprintf("mapper: %s=%d does not divide %s", e.split, e.factor, e.dim)
+	}
+	return fmt.Sprintf("mapper: op %s dim %s: path factors %d do not divide %d", e.op, e.dim, e.factor, e.size)
 }
 
 // clone copies the skeleton with loop nests sized for every assignment.

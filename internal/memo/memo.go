@@ -212,6 +212,14 @@ func (f *FlightCache) Do(ctx context.Context, key string, fn func() (any, error)
 			f.hits.Add(1)
 			return call.v, true, nil
 		}
+		// Look again under the lock: a leader may have stored the value
+		// and retired its call since the lock-free lookup above, and
+		// electing a new leader then would run fn twice.
+		if v, ok := f.c.Get(key); ok {
+			f.mu.Unlock()
+			f.hits.Add(1)
+			return v, true, nil
+		}
 		call := &flightCall{done: make(chan struct{})}
 		f.calls[key] = call
 		f.mu.Unlock()

@@ -186,6 +186,61 @@ func TestFlightCacheFollowerSurvivesLeaderCancel(t *testing.T) {
 
 // TestFlightCacheFollowerKeepsOwnDeadline: a follower whose own context
 // expires while waiting still fails with its own error.
+// gatedCache is a Cache whose first miss blocks until gate is closed,
+// closing missed when it starts waiting: it parks a caller between Do's
+// lock-free lookup and its leader election.
+type gatedCache struct {
+	Cache
+	misses       atomic.Int64
+	missed, gate chan struct{}
+}
+
+func (c *gatedCache) Get(key string) (any, bool) {
+	v, ok := c.Cache.Get(key)
+	if !ok && c.misses.Add(1) == 1 {
+		close(c.missed)
+		<-c.gate
+	}
+	return v, ok
+}
+
+// TestFlightCacheNoLeaderAfterStore forces the interleaving behind the
+// FollowerSurvivesLeaderCancel flake: a caller misses the cache, a leader
+// then runs, stores and retires its call, and only then does the first
+// caller look for a call in flight. It must find the stored value, not
+// run fn again.
+func TestFlightCacheNoLeaderAfterStore(t *testing.T) {
+	c := &gatedCache{Cache: NewShardedLRU(16), missed: make(chan struct{}), gate: make(chan struct{})}
+	f := NewFlightCache(c, 0)
+	var executions atomic.Int64
+	fn := func() (any, error) {
+		executions.Add(1)
+		return "v", nil
+	}
+	type result struct {
+		v   any
+		hit bool
+		err error
+	}
+	late := make(chan result, 1)
+	go func() {
+		v, hit, err := f.Do(context.Background(), "k", fn)
+		late <- result{v, hit, err}
+	}()
+	<-c.missed
+	if v, hit, err := f.Do(context.Background(), "k", fn); err != nil || hit || v != "v" {
+		t.Fatalf("leader: %v, hit %v, err %v", v, hit, err)
+	}
+	close(c.gate)
+	r := <-late
+	if r.err != nil || !r.hit || r.v != "v" {
+		t.Errorf("late caller: %v, hit %v, err %v; want the stored value as a hit", r.v, r.hit, r.err)
+	}
+	if n := executions.Load(); n != 1 {
+		t.Errorf("fn executed %d times, want 1", n)
+	}
+}
+
 func TestFlightCacheFollowerKeepsOwnDeadline(t *testing.T) {
 	f := NewFlightCache(nil, 16)
 	in := make(chan struct{})
