@@ -156,49 +156,79 @@ func parseCapacity(src string) (int64, error) {
 }
 
 // FormatSpec renders a spec back into the ParseSpec format.
-func FormatSpec(s *Spec) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "arch %s\n", s.Name)
-	fmt.Fprintf(&b, "mesh %d %d\n", s.MeshX, s.MeshY)
-	fmt.Fprintf(&b, "freq %g\n", s.FreqGHz)
-	fmt.Fprintf(&b, "word %d\n", s.WordBytes)
-	fmt.Fprintf(&b, "macs-per-pe %d\n", s.MACsPerPE)
-	fmt.Fprintf(&b, "vector-lanes %d\n", s.VectorLanesPerSubcore)
+func FormatSpec(s *Spec) string { return string(AppendSpec(nil, s)) }
+
+// AppendSpec appends FormatSpec's rendering of s to b. It is the one
+// renderer of the format: the evaluation service's canonical keys hash its
+// output directly, so it formats with strconv and allocates nothing
+// beyond b's growth.
+func AppendSpec(b []byte, s *Spec) []byte {
+	b = append(b, "arch "...)
+	b = append(b, s.Name...)
+	b = append(b, "\nmesh "...)
+	b = strconv.AppendInt(b, int64(s.MeshX), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(s.MeshY), 10)
+	b = append(b, "\nfreq "...)
+	b = strconv.AppendFloat(b, s.FreqGHz, 'g', -1, 64)
+	b = append(b, "\nword "...)
+	b = strconv.AppendInt(b, int64(s.WordBytes), 10)
+	b = append(b, "\nmacs-per-pe "...)
+	b = strconv.AppendInt(b, int64(s.MACsPerPE), 10)
+	b = append(b, "\nvector-lanes "...)
+	b = strconv.AppendInt(b, int64(s.VectorLanesPerSubcore), 10)
+	b = append(b, '\n')
 	for _, l := range s.Levels {
-		cap := "inf"
-		switch {
-		case l.CapacityBytes == 0:
-		case l.CapacityBytes%(1<<20) == 0:
-			cap = fmt.Sprintf("%dMB", l.CapacityBytes>>20)
-		case l.CapacityBytes%(1<<10) == 0:
-			cap = fmt.Sprintf("%dKB", l.CapacityBytes>>10)
+		b = append(b, "level "...)
+		b = append(b, l.Name...)
+		b = append(b, ' ')
+		switch c := l.CapacityBytes; {
+		case c == 0:
+			b = append(b, "inf"...)
+		case c%(1<<20) == 0:
+			b = append(strconv.AppendInt(b, c>>20, 10), "MB"...)
+		case c%(1<<10) == 0:
+			b = append(strconv.AppendInt(b, c>>10, 10), "KB"...)
 		default:
-			cap = fmt.Sprintf("%d", l.CapacityBytes)
+			b = strconv.AppendInt(b, c, 10)
 		}
-		fmt.Fprintf(&b, "level %s %s %g %d\n", l.Name, cap, l.BandwidthGBs, l.Fanout)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, l.BandwidthGBs, 'g', -1, 64)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(l.Fanout), 10)
+		b = append(b, '\n')
 	}
-	for _, p := range s.DirectAccess {
-		fmt.Fprintf(&b, "direct %d %d\n", p[0], p[1])
-	}
-	return b.String()
+	return appendDirect(b, s.DirectAccess)
 }
 
-// StructureSignature renders only the structural skeleton of an
-// architecture: the memory hierarchy's level names, each level's fanout,
-// and the direct-access edges — with capacities, bandwidths, clocking,
-// and datapath scale dropped. Two specs with the same signature accept
+// AppendStructureSignature appends the structural skeleton of an
+// architecture to b: the memory hierarchy's level names, each level's
+// fanout, and the direct-access edges — with capacities, bandwidths,
+// clocking, and datapath scale dropped. Two specs with the same signature accept
 // the same mapping encodings (same levels to stage at, same spatial
 // splits), which is the compatibility the warm-start library needs: a
 // checkpoint donated across such specs transfers encodings that remain
 // well-formed, while every capacity- or bandwidth-dependent number is
 // recomputed from scratch.
-func StructureSignature(s *Spec) string {
-	var b strings.Builder
+func AppendStructureSignature(b []byte, s *Spec) []byte {
 	for _, l := range s.Levels {
-		fmt.Fprintf(&b, "level %s %d\n", l.Name, l.Fanout)
+		b = append(b, "level "...)
+		b = append(b, l.Name...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(l.Fanout), 10)
+		b = append(b, '\n')
 	}
-	for _, p := range s.DirectAccess {
-		fmt.Fprintf(&b, "direct %d %d\n", p[0], p[1])
+	return appendDirect(b, s.DirectAccess)
+}
+
+// appendDirect appends one "direct <inner> <outer>" line per edge.
+func appendDirect(b []byte, edges [][2]int) []byte {
+	for _, p := range edges {
+		b = append(b, "direct "...)
+		b = strconv.AppendInt(b, int64(p[0]), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(p[1]), 10)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/energy"
@@ -173,6 +174,18 @@ type Options struct {
 	// every outer iteration" — the source of its small-tile
 	// overestimation (Fig 8d discussion). Used by the ablation study.
 	DisableRetention bool
+}
+
+// AppendKey appends the options' canonical rendering, "skipcap=<bool>
+// skippe=<bool> noretention=<bool>", to b. The evaluation service's
+// design-point keys and the mapper's fitness-cache prefix both hash it.
+func (o Options) AppendKey(b []byte) []byte {
+	b = append(b, "skipcap="...)
+	b = strconv.AppendBool(b, o.SkipCapacityCheck)
+	b = append(b, " skippe="...)
+	b = strconv.AppendBool(b, o.SkipPECheck)
+	b = append(b, " noretention="...)
+	return strconv.AppendBool(b, o.DisableRetention)
 }
 
 // evaluator carries the per-evaluation state. All mutable analysis state

@@ -26,19 +26,19 @@ import (
 // Rule keys identify the static rules. They are stable: internal/check maps
 // them to public diagnostic codes.
 const (
-	RuleArch          = "arch-spec"        // architecture spec invalid
-	RuleLeafChildren  = "leaf-children"    // leaf tile has children
-	RuleDupOp         = "dup-op"           // operator appears in two leaves
-	RuleInteriorEmpty = "interior-empty"   // interior node without children
-	RuleLevelOrder    = "level-order"      // child level above its parent
-	RuleOpNoLeaf      = "op-no-leaf"       // operator has no leaf tile
-	RuleLevelRange    = "level-range"      // node level outside architecture
-	RuleCoverage      = "tiling-coverage"  // loop extents do not tile a dim exactly
-	RuleLoopExtent    = "loop-extent"      // loop extent < 1
-	RuleLoopDim       = "loop-dim"         // loop over a dim foreign to the subtree
-	RulePEBudget      = "pe-budget"        // spatial fanout exceeds the PE array
-	RuleUnitUsage     = "unit-usage"       // level instance occupancy exceeded
-	RuleCapacity      = "capacity"         // per-instance footprint over buffer capacity
+	RuleArch          = "arch-spec"       // architecture spec invalid
+	RuleLeafChildren  = "leaf-children"   // leaf tile has children
+	RuleDupOp         = "dup-op"          // operator appears in two leaves
+	RuleInteriorEmpty = "interior-empty"  // interior node without children
+	RuleLevelOrder    = "level-order"     // child level above its parent
+	RuleOpNoLeaf      = "op-no-leaf"      // operator has no leaf tile
+	RuleLevelRange    = "level-range"     // node level outside architecture
+	RuleCoverage      = "tiling-coverage" // loop extents do not tile a dim exactly
+	RuleLoopExtent    = "loop-extent"     // loop extent < 1
+	RuleLoopDim       = "loop-dim"        // loop over a dim foreign to the subtree
+	RulePEBudget      = "pe-budget"       // spatial fanout exceeds the PE array
+	RuleUnitUsage     = "unit-usage"      // level instance occupancy exceeded
+	RuleCapacity      = "capacity"        // per-instance footprint over buffer capacity
 )
 
 // Violation is one statically detected problem: a rule key plus enough

@@ -209,7 +209,7 @@ func TestStaticResourceRules(t *testing.T) {
 func TestStaticCollectsAll(t *testing.T) {
 	g := sec42Graph(32, 64, 64, 32)
 	root := sec42Tree(g)
-	root.Loops[0].Extent = 0                                    // loop-extent + coverage (i)
+	root.Loops[0].Extent = 0                                            // loop-extent + coverage (i)
 	root.Children[1].Loops = append(root.Children[1].Loops, T("zz", 3)) // loop-dim
 	vs := AnalyzeStatic(root, g, arch.Cloud(), Options{})
 	got := map[string]int{}

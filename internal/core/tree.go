@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/workload"
@@ -532,23 +533,24 @@ func (t *tree) rebindWalk(nt *tree, n *Node) error {
 // signatures are mutually re-bindable via Program.WithTiling; caches keyed
 // by it (the evaluation service's compiled-program cache) share one Program
 // across all tilings of a structure.
-func StructureSignature(root *Node) string {
-	var b strings.Builder
-	writeSignature(&b, root)
-	return b.String()
-}
+func StructureSignature(root *Node) string { return string(AppendStructureSignature(nil, root)) }
 
-func writeSignature(b *strings.Builder, n *Node) {
+// AppendStructureSignature appends StructureSignature's rendering of the
+// tree under n to b.
+func AppendStructureSignature(b []byte, n *Node) []byte {
+	b = append(b, "(L"...)
+	b = strconv.AppendInt(b, int64(n.Level), 10)
+	b = append(b, ' ')
 	if n.IsLeaf() {
-		fmt.Fprintf(b, "(L%d %s)", n.Level, n.Op.Name)
-		return
+		b = append(b, n.Op.Name...)
+		return append(b, ')')
 	}
-	fmt.Fprintf(b, "(L%d %s", n.Level, n.Binding)
+	b = append(b, n.Binding.String()...)
 	for _, c := range n.Children {
-		b.WriteByte(' ')
-		writeSignature(b, c)
+		b = append(b, ' ')
+		b = AppendStructureSignature(b, c)
 	}
-	b.WriteByte(')')
+	return append(b, ')')
 }
 
 // lcaIDs returns the least common ancestor of the given node ids: the first

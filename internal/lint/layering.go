@@ -18,10 +18,10 @@ import (
 //     search strategies built on top of it (core -> mapper);
 //   - internal/diag is a leaf so every layer can report through it.
 var allowedImports = map[string][]string{
-	"repro/internal/diag":      {},
-	"repro/internal/arch":      {},
-	"repro/internal/workload":  {},
-	"repro/internal/memo":      {},
+	"repro/internal/diag":     {},
+	"repro/internal/arch":     {},
+	"repro/internal/workload": {},
+	"repro/internal/memo":     {},
 	// jobs is a stdlib-only leaf: the server injects the runner, so the
 	// job subsystem must never reach back into serve or the mapper.
 	"repro/internal/jobs": {},
@@ -32,7 +32,7 @@ var allowedImports = map[string][]string{
 	// sched decides which queued job runs next and who may submit; it
 	// plugs into the store as a picker callback, so it may see job records
 	// but never the runner, the mapper, or the HTTP layer.
-	"repro/internal/sched": {"repro/internal/jobs"},
+	"repro/internal/sched":     {"repro/internal/jobs"},
 	"repro/internal/energy":    {"repro/internal/arch"},
 	"repro/internal/core":      {"repro/internal/arch", "repro/internal/energy", "repro/internal/workload"},
 	"repro/internal/notation":  {"repro/internal/core", "repro/internal/diag", "repro/internal/workload"},
@@ -49,7 +49,7 @@ var allowedImports = map[string][]string{
 		"repro/internal/arch", "repro/internal/core", "repro/internal/energy",
 		"repro/internal/workload",
 	},
-	"repro/internal/timeloop":  {"repro/internal/arch", "repro/internal/energy", "repro/internal/workload"},
+	"repro/internal/timeloop": {"repro/internal/arch", "repro/internal/energy", "repro/internal/workload"},
 	// yamlfe translates Timeloop-style configs into the same triple the
 	// notation route produces; it must not reach into serve or check.
 	"repro/internal/yamlfe": {

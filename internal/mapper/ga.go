@@ -5,12 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -387,13 +387,19 @@ func (s *TreeSearch) fitnessKeyPrefix() string {
 	if rounds <= 0 {
 		rounds = 40 // fitness's default, so 0 and 40 share entries
 	}
-	var b strings.Builder
-	b.WriteString("tileflow/v1/ga-fitness\n")
-	b.WriteString(arch.FormatSpec(s.Spec))
-	b.WriteString(workload.CanonicalGraph(s.G))
-	fmt.Fprintf(&b, "opts: skipcap=%v skippe=%v noretention=%v tile=%d seed=%d narrow=%v\n",
-		s.Opts.SkipCapacityCheck, s.Opts.SkipPECheck, s.Opts.DisableRetention, rounds, s.Seed, s.Narrow != nil)
-	sum := sha256.Sum256([]byte(b.String()))
+	b := make([]byte, 0, 4096)
+	b = append(b, "tileflow/v1/ga-fitness\n"...)
+	b = arch.AppendSpec(b, s.Spec)
+	b = workload.AppendCanonicalGraph(b, s.G)
+	b = append(b, "opts: "...)
+	b = s.Opts.AppendKey(b)
+	b = append(b, " tile="...)
+	b = strconv.AppendInt(b, int64(rounds), 10)
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, s.Seed, 10)
+	b = append(b, " narrow="...)
+	b = strconv.AppendBool(b, s.Narrow != nil)
+	sum := sha256.Sum256(append(b, '\n'))
 	return hex.EncodeToString(sum[:]) + "|"
 }
 

@@ -49,17 +49,17 @@ func FuzzParseSourceDiagnostics(f *testing.F) {
 		sec42Source,
 		// Positioned-error seeds: each trips a specific coded diagnostic at
 		// a known token.
-		"leaf t = op Zzz { i:2 }",                                  // TF-NAME-001 at "Zzz"
-		"leaf t = op A { i=2 }",                                    // TF-PARSE-004 at "i=2"
-		"leaf t = op A { i:0 }",                                    // TF-PARSE-004 at "0"
-		"leaf t = op A { i:2 }\nleaf t = op B { i:2 }",             // TF-NAME-002 at second "t"
-		"tile r @L1 = { i:2 } (nope)",                              // TF-NAME-003 at "nope"
-		"tile r @Lx = { i:2 } (t)",                                 // TF-PARSE-003 at "@Lx"
-		"loop t = op A { i:2 }",                                    // TF-PARSE-001 whole line
-		sec42Source + "bind Zip(T0_0, T1_0)",                       // TF-BIND-001 at "Zip"
-		sec42Source + "bind Para(T0_0, T2_0)",                      // TF-BIND-004
+		"leaf t = op Zzz { i:2 }",                                           // TF-NAME-001 at "Zzz"
+		"leaf t = op A { i=2 }",                                             // TF-PARSE-004 at "i=2"
+		"leaf t = op A { i:0 }",                                             // TF-PARSE-004 at "0"
+		"leaf t = op A { i:2 }\nleaf t = op B { i:2 }",                      // TF-NAME-002 at second "t"
+		"tile r @L1 = { i:2 } (nope)",                                       // TF-NAME-003 at "nope"
+		"tile r @Lx = { i:2 } (t)",                                          // TF-PARSE-003 at "@Lx"
+		"loop t = op A { i:2 }",                                             // TF-PARSE-001 whole line
+		sec42Source + "bind Zip(T0_0, T1_0)",                                // TF-BIND-001 at "Zip"
+		sec42Source + "bind Para(T0_0, T2_0)",                               // TF-BIND-004
 		"leaf a = op A { i:2 }\ntile p @L1 = { } (a)\ntile q @L1 = { } (a)", // TF-NAME-004
-		"leaf t1 = op A { i:2 }\nleaf t2 = op B { i:2 }",           // TF-NAME-005 unpositioned
+		"leaf t1 = op A { i:2 }\nleaf t2 = op B { i:2 }",                    // TF-NAME-005 unpositioned
 		"",
 		"leaf",
 		"tile x @L1 = { Sp(i:2), } (",

@@ -372,38 +372,81 @@ func (p *parser) parseLoops(ls lineScan, lo, hi int, node string) ([]core.Loop, 
 
 // Print renders a tree back into the notation, children before parents so
 // the output re-parses.
-func Print(root *core.Node) string {
-	var b strings.Builder
-	var binds []string
-	var visit func(n *core.Node)
-	visit = func(n *core.Node) {
-		for _, c := range n.Children {
-			visit(c)
+func Print(root *core.Node) string { return string(AppendPrint(nil, root)) }
+
+// AppendPrint appends Print's rendering of root to b: every node's line in
+// post-order, then one bind line per non-Seq tile, again in post-order. It
+// is the one renderer of the notation; the evaluation service's canonical
+// keys hash its output directly.
+func AppendPrint(b []byte, root *core.Node) []byte {
+	b = appendNodes(b, root)
+	return appendBinds(b, root)
+}
+
+func appendNodes(b []byte, n *core.Node) []byte {
+	for _, c := range n.Children {
+		b = appendNodes(b, c)
+	}
+	if n.IsLeaf() {
+		b = append(b, "leaf "...)
+		b = append(b, n.Name...)
+		b = append(b, " = op "...)
+		b = append(b, n.Op.Name...)
+		b = append(b, " { "...)
+		b = appendLoops(b, n.Loops)
+		return append(b, " }\n"...)
+	}
+	b = append(b, "tile "...)
+	b = append(b, n.Name...)
+	b = append(b, " @L"...)
+	b = strconv.AppendInt(b, int64(n.Level), 10)
+	b = append(b, " = { "...)
+	b = appendLoops(b, n.Loops)
+	b = append(b, " } "...)
+	b = appendKids(b, n)
+	return append(b, '\n')
+}
+
+func appendBinds(b []byte, n *core.Node) []byte {
+	for _, c := range n.Children {
+		b = appendBinds(b, c)
+	}
+	if n.IsLeaf() || n.Binding == core.Seq {
+		return b
+	}
+	b = append(b, "bind "...)
+	b = append(b, n.Binding.String()...)
+	b = appendKids(b, n)
+	return append(b, '\n')
+}
+
+// appendLoops appends a loop nest as "Sp(m:2), m:4, …".
+func appendLoops(b []byte, loops []core.Loop) []byte {
+	for i, l := range loops {
+		if i > 0 {
+			b = append(b, ", "...)
 		}
-		loops := make([]string, len(n.Loops))
-		for i, l := range n.Loops {
-			if l.Kind == core.Spatial {
-				loops[i] = "Sp(" + l.Dim + ":" + strconv.Itoa(l.Extent) + ")"
-			} else {
-				loops[i] = l.Dim + ":" + strconv.Itoa(l.Extent)
-			}
+		if l.Kind == core.Spatial {
+			b = append(b, "Sp("...)
 		}
-		if n.IsLeaf() {
-			b.WriteString("leaf " + n.Name + " = op " + n.Op.Name + " { " + strings.Join(loops, ", ") + " }\n")
-			return
-		}
-		kids := make([]string, len(n.Children))
-		for i, c := range n.Children {
-			kids[i] = c.Name
-		}
-		b.WriteString("tile " + n.Name + " @L" + strconv.Itoa(n.Level) + " = { " + strings.Join(loops, ", ") + " } (" + strings.Join(kids, ", ") + ")\n")
-		if n.Binding != core.Seq {
-			binds = append(binds, "bind "+n.Binding.String()+"("+strings.Join(kids, ", ")+")")
+		b = append(b, l.Dim...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(l.Extent), 10)
+		if l.Kind == core.Spatial {
+			b = append(b, ')')
 		}
 	}
-	visit(root)
-	for _, s := range binds {
-		b.WriteString(s + "\n")
+	return b
+}
+
+// appendKids appends a node's child names as "(a, b, …)".
+func appendKids(b []byte, n *core.Node) []byte {
+	b = append(b, '(')
+	for i, c := range n.Children {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, c.Name...)
 	}
-	return b.String()
+	return append(b, ')')
 }

@@ -265,6 +265,8 @@ type designPoint struct {
 	df   dataflows.Dataflow
 	tune int
 	seed int64
+
+	text *keyText // canonical text, rendered on first use (see keys)
 }
 
 // resolveArchGraph resolves just an architecture and the full workload

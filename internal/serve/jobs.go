@@ -121,7 +121,7 @@ func (s *Server) runSearch(ctx context.Context, job *jobs.Job, upd func(progress
 	if err != nil {
 		return nil, err
 	}
-	key := searchKey(spec, g, req.Population, req.Generations, req.TileRounds, req.TopK, req.Seed, opts)
+	key := newKeyText(spec, g).search(req.Population, req.Generations, req.TileRounds, req.TopK, req.Seed, opts)
 	s.cache.Put(key, resp)
 	if s.warm != nil {
 		// Offer this search's final checkpoint to the warm library; it is

@@ -452,7 +452,7 @@ func (dp *designPoint) run(ctx context.Context, programs *memo.ShardedLRU) (*eva
 			return nil, err
 		}
 	}
-	res, err := evaluateWithPrograms(ctx, programs, root, dp.g, dp.spec, dp.opts)
+	res, err := evaluateWithPrograms(ctx, programs, dp.keys().program(root), root, dp.g, dp.spec, dp.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -462,15 +462,12 @@ func (dp *designPoint) run(ctx context.Context, programs *memo.ShardedLRU) (*eva
 
 // evaluateWithPrograms evaluates a tree, sharing the compile half of the
 // Compile → Evaluate pipeline across requests: a Program cached under the
-// structure-only key is re-bound to this request's tiling, and only the
-// tiling-dependent analysis runs. Program re-binding matches operators by
-// name, so a cached Program serves trees built over any canonically equal
-// instance of the graph (the key includes the canonical graph dump).
-func evaluateWithPrograms(ctx context.Context, programs *memo.ShardedLRU, root *core.Node, g *workload.Graph, spec *arch.Spec, opts core.Options) (*core.Result, error) {
-	if programs == nil {
-		return core.EvaluateContext(ctx, root, g, spec, opts)
-	}
-	key := programKey(spec, g, root)
+// structure-only key (keyText.program) is re-bound to this request's
+// tiling, and only the tiling-dependent analysis runs. Program re-binding
+// matches operators by name, so a cached Program serves trees built over
+// any canonically equal instance of the graph (the key includes the
+// canonical graph dump).
+func evaluateWithPrograms(ctx context.Context, programs *memo.ShardedLRU, key string, root *core.Node, g *workload.Graph, spec *arch.Spec, opts core.Options) (*core.Result, error) {
 	if v, ok := programs.Get(key); ok {
 		if p, err := v.(*core.Program).WithTiling(root); err == nil {
 			return p.Evaluate(ctx, opts)
@@ -486,12 +483,22 @@ func evaluateWithPrograms(ctx context.Context, programs *memo.ShardedLRU, root *
 	return p.Evaluate(ctx, opts)
 }
 
+// keys returns the design point's canonical text, rendering its
+// architecture and graph on first use; the evaluate (or tuned) key and the
+// Program key of one request share the rendering.
+func (dp *designPoint) keys() *keyText {
+	if dp.text == nil {
+		dp.text = newKeyText(dp.spec, dp.g)
+	}
+	return dp.text
+}
+
 // key is the canonical cache key of the design point.
 func (dp *designPoint) key() string {
 	if dp.root == nil {
-		return tunedKey(dp.spec, dp.g, dp.dfName, dp.tune, dp.seed, dp.opts)
+		return dp.keys().tuned(dp.dfName, dp.tune, dp.seed, dp.opts)
 	}
-	return EvaluateKey(dp.spec, dp.g, dp.root, dp.opts)
+	return dp.keys().evaluate(dp.root, dp.opts)
 }
 
 // requestTimeout clamps a request's timeout_ms to the server deadline.
@@ -733,7 +740,7 @@ func (s *Server) searchOne(ctx context.Context, req *SearchRequest) (*SearchResp
 		SkipPECheck:       req.SkipPECheck,
 		DisableRetention:  req.DisableRetention,
 	}
-	key := searchKey(spec, g, req.Population, req.Generations, req.TileRounds, req.TopK, req.Seed, opts)
+	key := newKeyText(spec, g).search(req.Population, req.Generations, req.TileRounds, req.TopK, req.Seed, opts)
 	if !req.NoCache {
 		if v, ok := s.cache.Get(key); ok {
 			resp := *v.(*SearchResponse)

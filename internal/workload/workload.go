@@ -18,6 +18,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -68,25 +69,28 @@ func I(dim string) Index { return Index{Terms: []Term{{Dim: dim, Coef: 1}}} }
 
 // String renders the index expression in a compact human form such as
 // "h+2*r" or "i".
-func (ix Index) String() string {
+func (ix Index) String() string { return string(ix.appendTo(nil)) }
+
+// appendTo appends String's rendering of ix to b.
+func (ix Index) appendTo(b []byte) []byte {
 	if len(ix.Terms) == 0 {
-		return fmt.Sprintf("%d", ix.Offset)
+		return strconv.AppendInt(b, int64(ix.Offset), 10)
 	}
-	var b strings.Builder
 	for i, t := range ix.Terms {
 		if i > 0 {
-			b.WriteString("+")
+			b = append(b, '+')
 		}
-		if t.Coef == 1 {
-			b.WriteString(t.Dim)
-		} else {
-			fmt.Fprintf(&b, "%d*%s", t.Coef, t.Dim)
+		if t.Coef != 1 {
+			b = strconv.AppendInt(b, int64(t.Coef), 10)
+			b = append(b, '*')
 		}
+		b = append(b, t.Dim...)
 	}
 	if ix.Offset != 0 {
-		fmt.Fprintf(&b, "+%d", ix.Offset)
+		b = append(b, '+')
+		b = strconv.AppendInt(b, int64(ix.Offset), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Dims reports the set of iteration dimensions the expression refers to.
@@ -106,12 +110,19 @@ type Access struct {
 }
 
 // String renders an access like "Q[m, k]".
-func (a Access) String() string {
-	parts := make([]string, len(a.Index))
+func (a Access) String() string { return string(a.appendTo(nil)) }
+
+// appendTo appends String's rendering of a to b.
+func (a Access) appendTo(b []byte) []byte {
+	b = append(b, a.Tensor...)
+	b = append(b, '[')
 	for i, ix := range a.Index {
-		parts[i] = ix.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = ix.appendTo(b)
 	}
-	return fmt.Sprintf("%s[%s]", a.Tensor, strings.Join(parts, ", "))
+	return append(b, ']')
 }
 
 // Dims reports every iteration dimension the access refers to.

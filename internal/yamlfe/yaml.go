@@ -562,7 +562,7 @@ func (p *parser) parseFlowMap(ln yline, j int) (*node, int, bool) {
 // unquote reads a quoted scalar starting at raw[j] and returns the
 // unescaped text and the position just past the closing quote. Double
 // quotes support \\, \", \n and \t escapes; single quotes are literal
-// with '' as an escaped quote.
+// with ” as an escaped quote.
 func unquote(raw string, j int) (string, int, bool) {
 	q := raw[j]
 	var b strings.Builder
